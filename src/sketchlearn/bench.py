@@ -20,7 +20,7 @@ import numpy as np
 from . import datasets as dsets
 from . import elm
 from .linalg import svd_dense, truncated_pinv
-from .modfkv import SketchConfig, build_w, draw_samples, modfkv, reconstruct, usable_rank
+from .modfkv import SketchConfig, draw_samples, modfkv
 from .segtree import SegTreeMatrix
 
 KINDS = (
@@ -164,18 +164,6 @@ def _load_classification(spec: ExperimentSpec):
     return train, test
 
 
-def _sketch_factors(source, cfg: SketchConfig, want_draw: bool = False):
-    """modfkv composition, optionally keeping the draw for norm reporting."""
-    if not want_draw:
-        return modfkv(source, cfg), None
-    rng = np.random.default_rng(cfg.seed)
-    d = draw_samples(source, cfg, rng)
-    w_svd = svd_dense(build_w(source, d))
-    k = min(cfg.k, usable_rank(w_svd, cfg.rcond))
-    factors = reconstruct(source, d, w_svd, k, cfg.rcond, reduced=k < cfg.k)
-    return factors, d
-
-
 def _factor_error(x: np.ndarray, factors) -> float:
     approx = (factors.u * factors.sigma) @ factors.v.T
     return float(np.linalg.norm(approx - x) / np.linalg.norm(x))
@@ -221,23 +209,28 @@ def _point_entropy(rec: RunRecord, tag: int) -> list:
 
 
 def _factorize(design_result, rec: RunRecord, cfg_seed_tag: int):
-    """Timed pseudo-inverse factors for one pipeline stage."""
+    """Timed pseudo-inverse factors for one pipeline stage.
+
+    For ``sampled-norms`` the sketch's draw is re-derived from its seed
+    after the timed region (see :func:`modfkv`); otherwise it is ``None``.
+    """
     t0 = time.perf_counter()
-    draw = None
     if rec.strategy == "exact":
         pinv = truncated_pinv(svd_dense(design_result.design), rec.k)
-    else:
-        cfg = SketchConfig(
-            k=rec.k,
-            p=rec.p,
-            strategy=rec.strategy,
-            seed=_seed_int(_point_entropy(rec, cfg_seed_tag)),
-        )
-        source = design_result.tree if rec.strategy == "norm" else design_result.design
-        want_draw = rec.kind == "sampled-norms"
-        factors, draw = _sketch_factors(source, cfg, want_draw=want_draw)
-        pinv = truncated_pinv(factors, rec.k)
-    return pinv, draw, time.perf_counter() - t0
+        return pinv, None, time.perf_counter() - t0
+    cfg = SketchConfig(
+        k=rec.k,
+        p=rec.p,
+        strategy=rec.strategy,
+        seed=_seed_int(_point_entropy(rec, cfg_seed_tag)),
+    )
+    source = design_result.tree if rec.strategy == "norm" else design_result.design
+    pinv = truncated_pinv(modfkv(source, cfg), rec.k)
+    elapsed = time.perf_counter() - t0
+    draw = None
+    if rec.kind == "sampled-norms":
+        draw = draw_samples(source, cfg, np.random.default_rng(cfg.seed))
+    return pinv, draw, elapsed
 
 
 def _run_classification_point(

@@ -2,7 +2,7 @@
 
 Features are phi_i(x) = relu(a_i . x + b_i) with a_i, b_i drawn uniform on
 [0, 1]. The design matrix stacks one feature row per data point (D x M),
-so per-class output weights solve w = pinv(design) @ onehotColumn. A
+so the M x L output weights solve W = pinv(design) @ onehot (D x L). A
 gradient loop over a_i, b_i with the output weights frozen sharpens the
 feature map; re-solving the output weights afterwards completes the
 optimized pipeline.
@@ -214,11 +214,9 @@ def train(
     pinv: LowRankFactors,
     n_classes: int | None = None,
 ) -> ElmModel:
-    """Solve the output weights: one pseudo-inverse applied per class column."""
+    """Solve the output weights: the pseudo-inverse applied to the one-hot matrix."""
     n_classes = infer_classes(ds) if n_classes is None else n_classes
-    y = onehot(ds, n_classes)
-    cols = [apply_factors(pinv, y[:, l]) for l in range(n_classes)]
-    return ElmModel(features=fm, w=np.column_stack(cols))
+    return ElmModel(features=fm, w=apply_factors(pinv, onehot(ds, n_classes)))
 
 
 def scores(model: ElmModel, x) -> np.ndarray:

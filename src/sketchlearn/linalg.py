@@ -1,9 +1,10 @@
-"""Dense SVD via one-sided Jacobi rotations, plus truncated pseudo-inverse factors.
+"""Dense SVD via LAPACK or one-sided Jacobi rotations, plus truncated
+pseudo-inverse factors.
 
-Matrices are plain 2-D float64 ``numpy.ndarray`` in row-major order. The
-Jacobi path is the reference engine for the small matrices produced by the
-sampling sketch; ``method="auto"`` hands large inputs to LAPACK, which is
-the exact-SVD baseline the sketch is benchmarked against.
+Matrices are plain 2-D float64 ``numpy.ndarray`` in row-major order. LAPACK
+is the default for every input, the sketch's small core as well as the exact
+baseline: the pure-Python Jacobi sweeps are slower at every size. Jacobi is
+kept, selected explicitly, as the reference implementation.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import (
 # and neither column is negligible (see _jacobi_tall).
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 60
-# min(m, n) above which "auto" routes to LAPACK instead of Jacobi sweeps.
-LAPACK_CUTOVER = 128
 
 DEFAULT_RCOND = 1e-12
 
@@ -189,17 +188,17 @@ def _jacobi_tall(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, v
 
 
-def svd_dense(a, method: str = "auto") -> SvdResult:
+def svd_dense(a, method: str = "lapack") -> SvdResult:
     """Economy singular value decomposition of a dense matrix.
 
     Parameters
     ----------
     a : array_like, shape (m, n)
         Matrix to decompose; entries must be finite.
-    method : {"auto", "jacobi", "lapack"}
-        "jacobi" runs one-sided rotation sweeps on the smaller side,
-        "lapack" calls ``numpy.linalg.svd``, and "auto" picks Jacobi when
-        min(m, n) <= 128.
+    method : {"lapack", "jacobi"}
+        "lapack" (the default) calls ``numpy.linalg.svd``; "jacobi" runs
+        one-sided rotation sweeps on the smaller side and is kept as the
+        reference implementation.
 
     The Jacobi sweeps stop after the first sweep that rotates nothing. A
     pair of columns is rotated only while their inner product exceeds
@@ -217,25 +216,16 @@ def svd_dense(a, method: str = "auto") -> SvdResult:
         vectors with orthonormal columns. Deterministic for fixed input.
     """
     a = _check_matrix(a)
-    m, n = a.shape
-    if method == "auto":
-        method = "lapack" if min(m, n) > LAPACK_CUTOVER else "jacobi"
     if method == "lapack":
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
         return SvdResult(u=u, sigma=sigma, v=vt.T.copy())
     if method != "jacobi":
         raise ValueError(f"unknown method {method!r}")
-    if m >= n:
+    if a.shape[0] >= a.shape[1]:
         u, sigma, v = _jacobi_tall(a)
     else:
         v, sigma, u = _jacobi_tall(a.T)
     return SvdResult(u=u, sigma=sigma, v=v)
-
-
-def _factor_parts(f: SvdResult | LowRankFactors):
-    if isinstance(f, SvdResult):
-        return f.u, f.sigma, f.v
-    return f.u, f.sigma, f.v
 
 
 def truncated_pinv(
@@ -253,7 +243,7 @@ def truncated_pinv(
         raise ValueError(f"rank must be >= 1, got {k}")
     if not 0.0 <= rcond < 1.0:
         raise ValueError(f"rcond must lie in [0, 1), got {rcond}")
-    u, sigma, v = _factor_parts(f)
+    u, sigma, v = f.u, f.sigma, f.v
     cutoff = rcond * sigma.max() if sigma.size else 0.0
     usable = int(np.count_nonzero(sigma > cutoff))
     kept = min(k, usable)
@@ -271,10 +261,15 @@ def truncated_pinv(
 
 
 def apply_factors(f: LowRankFactors, y: np.ndarray) -> np.ndarray:
-    """Evaluate ``U @ diag(sigma) @ V.T @ y`` without materializing the matrix."""
+    """Evaluate ``U @ diag(sigma) @ V.T @ y`` without materializing the matrix.
+
+    ``y`` is a vector of length n or an n x L matrix of column vectors; the
+    result has the same number of axes.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != f.v.shape[0]:
+    if y.ndim not in (1, 2) or y.shape[0] != f.v.shape[0]:
         raise DimensionMismatch(
-            f"vector of length {f.v.shape[0]} required, got shape {y.shape}"
+            f"first axis of length {f.v.shape[0]} required, got shape {y.shape}"
         )
-    return f.u @ (f.sigma * (f.v.T @ y))
+    scale = f.sigma if y.ndim == 1 else f.sigma[:, None]
+    return f.u @ (scale * (f.v.T @ y))

@@ -114,7 +114,7 @@ def draw_samples(t, cfg: SketchConfig, rng: np.random.Generator) -> SampleDraw:
     picks = rng.integers(0, p, size=p)
     cols = t.sample_cols_in_rows(rows[picks], rng)
     row_prob = t.row_norm_sq(rows) / t.fro_norm_sq()
-    sub = t.dense[rows][:, cols]
+    sub = t.dense[np.ix_(rows, cols)]
     col_prob = (sub * sub / t.row_norm_sq(rows)[:, None]).mean(axis=0)
     return SampleDraw(row_idx=rows, row_prob=row_prob, col_idx=cols, col_prob=col_prob)
 
@@ -202,10 +202,13 @@ def usable_rank(w_svd: SvdResult, rcond: float) -> int:
 def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
     """Full sampled SVD: draw samples, build W, decompose, lift.
 
-    Deterministic for a fixed ``cfg.seed``. When the core yields fewer than
-    ``cfg.k`` usable singular values the result is reduced to that rank
-    with a warning (``reduced=True``); with none usable it raises
-    :class:`RankDeficientSketch`.
+    Deterministic for a fixed ``cfg.seed``: the draw is the first use of
+    ``np.random.default_rng(cfg.seed)``, so a caller that needs the sampled
+    indices re-derives them as
+    ``draw_samples(t, cfg, np.random.default_rng(cfg.seed))``. When the core
+    yields fewer than ``cfg.k`` usable singular values the result is reduced
+    to that rank with a warning (``reduced=True``); with none usable it
+    raises :class:`RankDeficientSketch`.
     """
     rng = np.random.default_rng(cfg.seed)
     d = draw_samples(t, cfg, rng)

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from sketchlearn.bench import (
+    _TAG_SKETCH,
     CSV_COLUMNS,
     ExperimentSpec,
     RunRecord,
     RunReport,
+    _factorize,
     emit_report,
     run_experiment,
 )
 from sketchlearn.cli import main
+from sketchlearn.elm import DesignResult
+from sketchlearn.errors import RankDeficientSketch
 
 
 def tiny_spec(**overrides):
@@ -184,6 +188,37 @@ class TestRunExperiment:
             for r in run_experiment(spec).records
         ]
         assert keys == sorted(keys)
+
+
+def sampled_norms_point(x, k, p):
+    """Factorize a given design as one uniform sampled-norms point would."""
+    dr = DesignResult(design=x, tree=None, featurize_s=0.0, tree_build_s=0.0)
+    rec = RunRecord(
+        kind="sampled-norms",
+        dataset="synthetic",
+        m=x.shape[1],
+        k=k,
+        p=p,
+        strategy="uniform",
+        seed=0,
+    )
+    return _factorize(dr, rec, _TAG_SKETCH)
+
+
+class TestSampledNormsSketchPath:
+    def test_zero_core_raises_rank_deficient(self):
+        # One nonzero entry, which this point's P=2 draw misses: W is all zero.
+        x = np.zeros((40, 40))
+        x[7, 11] = 1.0
+        with pytest.raises(RankDeficientSketch):
+            sampled_norms_point(x, k=1, p=2)
+
+    def test_reduced_rank_warns(self):
+        x = np.outer(np.arange(1.0, 41.0), np.linspace(0.5, 2.0, 30))
+        with pytest.warns(RuntimeWarning, match="reduced"):
+            pinv, draw, _ = sampled_norms_point(x, k=3, p=10)
+        assert pinv.k == 1
+        assert draw.p == 10
 
 
 class TestEmitReport:

@@ -145,6 +145,15 @@ class TestSvdDense:
         rec = res.u @ np.diag(res.sigma) @ res.v.T
         assert np.linalg.norm(rec - a) <= 1e-8 * np.linalg.norm(a)
 
+    def test_default_is_lapack(self):
+        a = np.random.default_rng(19).standard_normal((50, 50))
+        res, ref = svd_dense(a), svd_dense(a, method="lapack")
+        assert np.array_equal(res.sigma, ref.sigma)
+        assert np.array_equal(res.u, ref.u)
+        assert np.array_equal(res.v, ref.v)
+        with pytest.raises(ValueError):
+            svd_dense(a, method="auto")
+
     def test_errors(self):
         with pytest.raises(EmptyMatrix):
             svd_dense(np.zeros((0, 3)))
@@ -260,3 +269,21 @@ class TestApplyFactors:
         f = truncated_pinv(svd_dense(np.eye(3), method="jacobi"), 2)
         with pytest.raises(DimensionMismatch):
             apply_factors(f, np.zeros(5))
+
+    def test_matrix_matches_column_by_column(self):
+        rng = np.random.default_rng(23)
+        f = LowRankFactors(
+            k=3,
+            sigma=rng.random(3) + 0.5,
+            u=rng.standard_normal((6, 3)),
+            v=rng.standard_normal((4, 3)),
+        )
+        y = rng.standard_normal((4, 5))
+        out = apply_factors(f, y)
+        assert out.shape == (6, 5)
+        for j in range(5):
+            np.testing.assert_allclose(
+                out[:, j], apply_factors(f, y[:, j]), rtol=1e-13, atol=1e-13
+            )
+        with pytest.raises(DimensionMismatch):
+            apply_factors(f, np.zeros((5, 5)))

@@ -291,3 +291,14 @@ class TestModfkv:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrix):
             modfkv(SegTreeMatrix.zeros(3, 3), SketchConfig(k=1, p=2))
+
+    def test_draw_rederived_from_seed(self):
+        x = synth_lowrank(30, 40, 3, 0.0, np.random.default_rng(21))
+        t = SegTreeMatrix(x)
+        cfg = SketchConfig(k=3, p=12, seed=5)
+        d = draw_samples(t, cfg, np.random.default_rng(cfg.seed))
+        ref = reconstruct(t, d, svd_dense(build_w(t, d)), cfg.k, cfg.rcond)
+        f = modfkv(t, cfg)
+        np.testing.assert_array_equal(f.sigma, ref.sigma)
+        np.testing.assert_array_equal(f.u, ref.u)
+        np.testing.assert_array_equal(f.v, ref.v)
