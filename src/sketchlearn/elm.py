@@ -133,14 +133,18 @@ def featurize(fm: FeatureMap, x) -> np.ndarray:
     return np.maximum(fm.a @ x + fm.b, 0.0)
 
 
-def featurize_batch(fm: FeatureMap, xs) -> np.ndarray:
-    """Feature rows for a batch: returns (len(xs), M)."""
+def featurize_batch(
+    fm: FeatureMap, xs, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Feature rows for a batch: returns (len(xs), M), in ``out`` if given."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != fm.input_dim:
         raise DimensionMismatch(
             f"batch of width {fm.input_dim} required, got shape {xs.shape}"
         )
-    return np.maximum(xs @ fm.a.T + fm.b, 0.0)
+    z = np.matmul(xs, fm.a.T, out=out)
+    z += fm.b
+    return np.maximum(z, 0.0, out=z)
 
 
 @dataclass(frozen=True)
@@ -177,17 +181,14 @@ def build_design(
     for start in range(0, d, block):
         stop = min(start + block, d)
         t0 = time.perf_counter()
-        rows = featurize_batch(fm, ds.inputs[start:stop])
+        # Without a tree the rows are computed in place in the design.
+        out = None if with_tree else design[start:stop]
+        rows = featurize_batch(fm, ds.inputs[start:stop], out=out)
         t1 = time.perf_counter()
+        feat_s += t1 - t0
         if with_tree:
             tree.set_rows(start, rows)
-        else:
-            design[start:stop] = rows
-        t2 = time.perf_counter()
-        feat_s += t1 - t0
-        tree_s += t2 - t1
-    if not with_tree:
-        tree_s = 0.0
+            tree_s += time.perf_counter() - t1
     return DesignResult(design=design, tree=tree, featurize_s=feat_s, tree_build_s=tree_s)
 
 

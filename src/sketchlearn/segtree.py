@@ -1,10 +1,16 @@
-"""Two-level segment tree over a dense matrix for weighted sampling.
+"""Row-norm tree plus 64-column block sums, for norm-weighted sampling.
 
-A root tree holds partial sums of squared row norms, one tree per row holds
-partial sums of squared entries. Both use the implicit heap layout (node k
-has children 2k and 2k+1) padded to a power of two, so a weighted draw is a
-single root-to-leaf descent and an entry update touches two log-length
-paths. Raw signed entries are kept alongside the squared trees.
+A root tree holds partial sums of squared row norms in the implicit heap
+layout (node k has children 2k and 2k+1, padded to a power of two), so a
+row draw is a single root-to-leaf descent, O(log rows). Each row keeps only
+the sums of squares of its 64-column blocks, ``rows x ceil(cols/64)``
+floats, about 1/64 of the data. A column draw within a row is the same
+inverse CDF in two steps: a running sum over the row's block sums picks a
+block, then a running sum over that block's squared entries picks the
+column, O(cols/64 + 64). An entry update refreshes one block sum, the row
+total and one root path, also O(cols/64 + 64) plus O(log rows). The in-row
+law is only ever queried for sampled rows, so no per-entry structure is
+kept beside the raw signed entries.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from .errors import (
 )
 
 
+BLOCK = 64
+_LANES = np.arange(BLOCK)
+
+
 def _pow2_at_least(n: int) -> int:
     p = 1
     while p < n:
@@ -28,9 +38,8 @@ def _pow2_at_least(n: int) -> int:
 
 
 def _descend(nodes: np.ndarray, u: np.ndarray, leaves: int) -> np.ndarray:
-    """Vectorized prefix-sum descent; one row of ``u`` per draw.
+    """Vectorized prefix-sum descent of one tree; one entry of ``u`` per draw.
 
-    ``nodes`` is either a single tree (1-D) or one tree per draw (2-D).
     Ties go right: the left branch is taken only when u < leftSum, except
     that an empty right subtree forces left so rounding can never enter
     zero mass.
@@ -39,23 +48,35 @@ def _descend(nodes: np.ndarray, u: np.ndarray, leaves: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     u = u.copy()
     k = np.ones(u.shape, dtype=np.int64)
-    two_d = nodes.ndim == 2
-    rows = np.arange(u.shape[0]) if two_d else None
     while k[0] < leaves:
-        if two_d:
-            left = nodes[rows, 2 * k]
-            right = nodes[rows, 2 * k + 1]
-        else:
-            left = nodes[2 * k]
-            right = nodes[2 * k + 1]
+        left = nodes[2 * k]
+        right = nodes[2 * k + 1]
         go_left = (u < left) | (right <= 0.0)
         k = 2 * k + (~go_left)
         u = np.where(go_left, u, u - left)
     return k - leaves
 
 
+def _pick(csum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF over running sums, one row of ``csum`` per draw.
+
+    The index is the count of running sums <= u, the same tie rule as
+    :func:`_descend`. It is clamped to the last entry with positive mass
+    (the first whose running sum reaches the row's total), so rounding can
+    never select zero mass.
+    """
+    hit = np.count_nonzero(csum <= u[:, None], axis=1)
+    last = np.count_nonzero(csum < csum[:, -1:], axis=1)
+    return np.minimum(hit, last)
+
+
 class SegTreeMatrix:
-    """Matrix store supporting O(log) norm-weighted sampling and updates."""
+    """Matrix store supporting norm-weighted sampling and in-place updates.
+
+    Row draws cost O(log rows); an in-row column draw or an entry update
+    costs O(cols/64 + 64). The store beside the entries is the row tree
+    (2 pow2(rows) floats) and the block sums (rows x ceil(cols/64) floats).
+    """
 
     def __init__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -77,9 +98,8 @@ class SegTreeMatrix:
         self.rows = rows
         self.cols = cols
         self._rpad = _pow2_at_least(rows)
-        self._cpad = _pow2_at_least(cols)
         self._values = np.zeros((rows, cols))
-        self._row_nodes = np.zeros((rows, 2 * self._cpad))
+        self._blocks = np.zeros((rows, -(-cols // BLOCK)))
         self._root_nodes = np.zeros(2 * self._rpad)
 
     # -- construction ------------------------------------------------------
@@ -93,21 +113,23 @@ class SegTreeMatrix:
                 f"rows [{start}, {stop}) x {block.shape[1]} does not fit "
                 f"in {self.rows}x{self.cols}"
             )
-        if not np.isfinite(block).all():
+        # A NaN or Inf entry makes the plain sum non-finite, so the entrywise
+        # scan (and its rows x cols mask) runs only when the sum is; it also
+        # tells an overflowing sum of finite entries apart.
+        if not np.isfinite(block.sum()) and not np.isfinite(block).all():
             raise NonFinite("block contains NaN or Inf")
-        self._values[start:stop] = block
-        nodes = self._row_nodes[start:stop]
-        cpad = self._cpad
-        nodes[:, cpad : cpad + self.cols] = block * block
-        half = cpad >> 1
-        while half >= 1:
-            nodes[:, half : 2 * half] = (
-                nodes[:, 2 * half : 4 * half : 2]
-                + nodes[:, 2 * half + 1 : 4 * half : 2]
-            )
-            half >>= 1
+        values = self._values[start:stop]
+        values[...] = block
+        sums = self._blocks[start:stop]
+        full = self.cols // BLOCK
+        if full:
+            body = values[:, : full * BLOCK].reshape(len(values), full, BLOCK)
+            np.einsum("rbk,rbk->rb", body, body, out=sums[:, :full])
+        if full < sums.shape[1]:
+            tail = values[:, full * BLOCK :]
+            np.einsum("rk,rk->r", tail, tail, out=sums[:, full])
         root = self._root_nodes
-        root[self._rpad + start : self._rpad + stop] = nodes[:, 1]
+        root[self._rpad + start : self._rpad + stop] = sums.sum(axis=1)
         lo, hi = self._rpad + start, self._rpad + stop - 1
         while lo > 1:
             lo >>= 1
@@ -116,23 +138,22 @@ class SegTreeMatrix:
             root[k] = root[2 * k] + root[2 * k + 1]
 
     def update(self, i: int, j: int, v: float) -> None:
-        """Set entry (i, j) to ``v``, refreshing both root-to-leaf paths."""
+        """Set entry (i, j) to ``v``; refresh its block sum and row total."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexOutOfRange(f"({i}, {j}) outside {self.rows}x{self.cols}")
         v = float(v)
         if not np.isfinite(v):
             raise NonFinite(f"update value {v!r} is not finite")
         self._values[i, j] = v
-        rn = self._row_nodes[i]
-        p = self._cpad + j
-        rn[p] = v * v
-        p >>= 1
-        while p >= 1:
-            rn[p] = rn[2 * p] + rn[2 * p + 1]
-            p >>= 1
+        # The 1-D einsum over a block equals set_rows' batched one bitwise,
+        # so a store kept by updates matches a fresh build exactly.
+        b = j // BLOCK
+        seg = self._values[i, b * BLOCK : (b + 1) * BLOCK]
+        sums = self._blocks[i]
+        sums[b] = np.einsum("k,k->", seg, seg)
         root = self._root_nodes
         q = self._rpad + i
-        root[q] = rn[1]
+        root[q] = sums.sum()
         q >>= 1
         while q >= 1:
             root[q] = root[2 * q] + root[2 * q + 1]
@@ -184,7 +205,12 @@ class SegTreeMatrix:
     def sample_cols_in_rows(
         self, rows, rng: np.random.Generator
     ) -> np.ndarray:
-        """For each row index, draw a column with in-row law entrySq/rowNormSq."""
+        """For each row index, draw a column with in-row law entrySq/rowNormSq.
+
+        One uniform ``u`` per draw, in [0, rowNormSq): the running sum of the
+        row's block sums picks the block, and ``u`` less the mass before that
+        block picks the column from the running sum of its squared entries.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
             raise IndexOutOfRange(f"row index outside [0, {self.rows})")
@@ -193,7 +219,14 @@ class SegTreeMatrix:
             bad = int(rows[np.argmax(totals <= 0.0)])
             raise ZeroRow(f"row {bad} has zero norm; its column law is undefined")
         u = rng.random(rows.size) * totals
-        return _descend(self._row_nodes[rows], u, self._cpad)
+        csum = np.cumsum(self._blocks[rows], axis=1)
+        b = _pick(csum, u)
+        u -= np.where(b > 0, csum[np.arange(rows.size), b - 1], 0.0)
+        cols = b[:, None] * BLOCK + _LANES[: self.cols]
+        flat = rows[:, None] * self.cols + np.minimum(cols, self.cols - 1)
+        sq = self._values.ravel().take(flat) ** 2
+        sq[cols >= self.cols] = 0.0
+        return b * BLOCK + _pick(np.cumsum(sq, axis=1), u)
 
     def sample_col_in_row(self, i: int, rng: np.random.Generator) -> int:
         return int(self.sample_cols_in_rows(np.array([i]), rng)[0])

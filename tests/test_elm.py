@@ -108,6 +108,13 @@ class TestFeaturize:
             np.testing.assert_allclose(batch[i], featurize(fm, xs[i]),
                                        rtol=1e-12, atol=1e-14)
 
+    def test_out_receives_the_rows(self):
+        fm = init_features(5, 8, np.random.default_rng(6))
+        xs = np.random.default_rng(7).random((10, 5))
+        out = np.full((10, 8), np.nan)
+        assert featurize_batch(fm, xs, out=out) is out
+        np.testing.assert_array_equal(out, featurize_batch(fm, xs))
+
     def test_dimension_mismatch(self):
         fm = init_features(3, 4, np.random.default_rng(8))
         with pytest.raises(DimensionMismatch):
@@ -156,6 +163,10 @@ class TestBuildDesign:
         assert res.tree_build_s == 0.0
         np.testing.assert_array_equal(
             res.design, featurize_batch(fm, ds.inputs)
+        )
+        with_tree = build_design(fm, ds, block=4)
+        np.testing.assert_array_equal(
+            build_design(fm, ds, with_tree=False, block=4).design, with_tree.design
         )
 
 

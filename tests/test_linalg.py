@@ -139,9 +139,9 @@ class TestSvdDense:
         sl = svd_dense(a, method="lapack").sigma
         np.testing.assert_allclose(sj, sl, rtol=1e-10, atol=1e-12)
 
-    def test_auto_handles_large_matrix(self):
+    def test_default_handles_large_matrix(self):
         a = np.random.default_rng(1).standard_normal((200, 150))
-        res = svd_dense(a)  # routed to lapack above the cutover
+        res = svd_dense(a)
         rec = res.u @ np.diag(res.sigma) @ res.v.T
         assert np.linalg.norm(rec - a) <= 1e-8 * np.linalg.norm(a)
 

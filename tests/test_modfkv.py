@@ -113,6 +113,17 @@ class TestDrawSamples:
                 np.random.default_rng(0),
             )
 
+    def test_uniform_accepts_zero_first_row(self):
+        # The zero-matrix check looks at the first row before scanning the
+        # rest; one nonzero entry anywhere else must still let it draw.
+        x = np.zeros((4, 5))
+        x[3, 2] = -1.0
+        cfg = SketchConfig(k=1, p=6, strategy="uniform")
+        for source in (x, SegTreeMatrix(x)):
+            d = draw_samples(source, cfg, np.random.default_rng(0))
+            assert d.p == 6
+            assert d.row_idx.max() < 4 and d.col_idx.max() < 5
+
 
 def full_coverage_draw_identity(n):
     """Hand-built draw hitting every row/column of the identity once."""
