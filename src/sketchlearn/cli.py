@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -10,20 +11,7 @@ from .bench import DATASETS, KINDS, STRATEGIES, ExperimentSpec, emit_report, run
 from .datasets import DATA_DIR_ENV, resolve_data_dir
 from .errors import SketchLearnError
 
-_SPEC_FIELDS = (
-    "kind",
-    "dataset",
-    "m",
-    "k",
-    "p",
-    "strategies",
-    "seeds",
-    "subsample",
-    "learning_rate",
-    "epochs",
-    "batch_size",
-    "data_dir",
-)
+_SPEC_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -81,7 +69,7 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(_SPEC_FIELDS)
+        unknown = set(loaded) - _SPEC_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         merged.update(loaded)

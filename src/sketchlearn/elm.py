@@ -38,13 +38,10 @@ class FeatureMap:
 
     a: np.ndarray
     b: np.ndarray
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.a.ndim != 2 or self.b.shape != (self.a.shape[0],):
             raise DimensionMismatch(
                 f"need a (M, d) and b (M,), got {self.a.shape} and {self.b.shape}"

@@ -4,7 +4,9 @@ pseudo-inverse factors.
 Matrices are plain 2-D float64 ``numpy.ndarray`` in row-major order. LAPACK
 is the default for every input, the sketch's small core as well as the exact
 baseline: the pure-Python Jacobi sweeps are slower at every size. Jacobi is
-kept, selected explicitly, as the reference implementation.
+kept, selected explicitly, as the reference implementation. Every
+factorization here, an economy SVD, a sketch or a pseudo-inverse, is one
+type, :class:`LowRankFactors`.
 """
 
 from __future__ import annotations
@@ -31,33 +33,25 @@ DEFAULT_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    """Economy SVD ``A = U @ diag(sigma) @ V.T``.
-
-    ``U`` is m x r and ``V`` is n x r with orthonormal columns,
-    r = min(m, n); ``sigma`` is nonincreasing and nonnegative.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
 class LowRankFactors:
-    """Rank-``k`` factorization ``U @ diag(sigma) @ V.T``.
+    """Factorization ``U @ diag(sigma) @ V.T`` of rank ``k = sigma.size``.
 
-    ``sigma`` entries are strictly positive. Factors from the exact SVD have
-    orthonormal columns; sketch-produced factors are only approximately
-    orthonormal. ``reduced`` marks that an rcond floor dropped singular
-    values below the requested rank.
+    From :func:`svd_dense` it is the economy SVD: ``U`` is m x r and ``V``
+    is n x r with orthonormal columns, r = min(m, n), and ``sigma`` is
+    nonincreasing and nonnegative. Truncated and sketch-produced factors
+    keep only strictly positive ``sigma``; sketch factors are only
+    approximately orthonormal. ``reduced`` marks that an rcond floor
+    dropped singular values below the requested rank.
     """
 
-    k: int
-    sigma: np.ndarray
     u: np.ndarray
+    sigma: np.ndarray
     v: np.ndarray
     reduced: bool = field(default=False, compare=False)
+
+    @property
+    def k(self) -> int:
+        return self.sigma.size
 
 
 def _check_matrix(a) -> np.ndarray:
@@ -188,7 +182,7 @@ def _jacobi_tall(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, v
 
 
-def svd_dense(a, method: str = "lapack") -> SvdResult:
+def svd_dense(a, method: str = "lapack") -> LowRankFactors:
     """Economy singular value decomposition of a dense matrix.
 
     Parameters
@@ -211,25 +205,25 @@ def svd_dense(a, method: str = "lapack") -> SvdResult:
 
     Returns
     -------
-    SvdResult
+    LowRankFactors
         Singular values sorted nonincreasing (stable on ties), singular
         vectors with orthonormal columns. Deterministic for fixed input.
     """
     a = _check_matrix(a)
     if method == "lapack":
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-        return SvdResult(u=u, sigma=sigma, v=vt.T.copy())
+        return LowRankFactors(u=u, sigma=sigma, v=vt.T.copy())
     if method != "jacobi":
         raise ValueError(f"unknown method {method!r}")
     if a.shape[0] >= a.shape[1]:
         u, sigma, v = _jacobi_tall(a)
     else:
         v, sigma, u = _jacobi_tall(a.T)
-    return SvdResult(u=u, sigma=sigma, v=v)
+    return LowRankFactors(u=u, sigma=sigma, v=v)
 
 
 def truncated_pinv(
-    f: SvdResult | LowRankFactors, k: int, rcond: float = DEFAULT_RCOND
+    f: LowRankFactors, k: int, rcond: float = DEFAULT_RCOND
 ) -> LowRankFactors:
     """Factors of the rank-``k`` truncated pseudo-inverse.
 
@@ -252,7 +246,6 @@ def truncated_pinv(
             f"no singular values above rcond={rcond} floor"
         )
     return LowRankFactors(
-        k=kept,
         sigma=1.0 / sigma[:kept],
         u=v[:, :kept].copy(),
         v=u[:, :kept].copy(),

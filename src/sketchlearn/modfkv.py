@@ -2,24 +2,30 @@
 
 Given a matrix X stored in a :class:`~sketchlearn.segtree.SegTreeMatrix`,
 the sketch draws P rows with probability f_i = rowNormSq(i)/froSq and P
-columns from the mixture law g_j = mean_p entrySq(i_p, j)/rowNormSq(i_p),
-rescales the sampled submatrix into a P x P core
+columns from the mixture law g_j = mean_p entrySq(i_p, j)/rowNormSq(i_p).
+It gathers the sampled rows once, into the row sketch
 
-    W[p, q] = X[i_p, j_q] / (P * sqrt(f[i_p] * g[j_q])),
+    S[p, :] = X[i_p, :] / sqrt(P * f[i_p]),
 
-takes its exact SVD, and lifts the top-K triplets back to the full matrix
-through the row sketch S[p, :] = X[i_p, :] / sqrt(P * f[i_p]). The lift
-uses W's left singular vectors: W W^T concentrates around S S^T, so those
-vectors approximate the left singular vectors of S and
+and reads the P x P core off S's sampled columns, rescaled again:
+
+    W[p, q] = S[p, j_q] / sqrt(P * g[j_q])
+            = X[i_p, j_q] / (P * sqrt(f[i_p] * g[j_q])).
+
+It takes W's exact SVD and lifts the top-K triplets back to the full
+matrix through S. The lift uses W's left singular vectors: W W^T
+concentrates around S S^T, so those vectors approximate the left singular
+vectors of S and
 
     v_k = S^T u'_k / s_k,     u_k = X v_k / s_k
 
-approximate the right/left singular vectors of X. By default the lifted
-basis is re-orthonormalized before the final factors are formed (see
+approximate the right/left singular vectors of X. The lifted basis is
+re-orthonormalized before the final factors are formed (see
 :func:`reconstruct`), which removes the basis skew that otherwise floors
 the reconstruction error at O(1/sqrt(P)). The uniform strategy substitutes
 the flat laws f = 1/m, g = 1/n into the same estimator, which keeps the
-rescaling structure and needs no tree.
+rescaling structure and needs no tree. Singular values at or below
+``DEFAULT_RCOND`` times the largest count as unusable.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     ZeroMatrix,
     ZeroProbability,
 )
-from .linalg import DEFAULT_RCOND, LowRankFactors, SvdResult, svd_dense
+from .linalg import DEFAULT_RCOND, LowRankFactors, svd_dense
 from .segtree import SegTreeMatrix
 
 NORM_WEIGHTED = "norm"
@@ -54,7 +60,6 @@ class SketchConfig:
     p: int
     strategy: str = NORM_WEIGHTED
     seed: int = 0
-    rcond: float = DEFAULT_RCOND
 
     def __post_init__(self):
         if self.k < 1:
@@ -65,8 +70,6 @@ class SketchConfig:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if not 0.0 <= self.rcond < 1.0:
-            raise ValueError(f"rcond must lie in [0, 1), got {self.rcond}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,10 @@ def draw_samples(t, cfg: SketchConfig, rng: np.random.Generator) -> SampleDraw:
     rows = t.sample_rows(rng, p)
     picks = rng.integers(0, p, size=p)
     cols = t.sample_cols_in_rows(rows[picks], rng)
-    row_prob = t.row_norm_sq(rows) / t.fro_norm_sq()
+    norm_sq = t.row_norm_sq(rows)
+    row_prob = norm_sq / t.fro_norm_sq()
     sub = t.dense[np.ix_(rows, cols)]
-    col_prob = (sub * sub / t.row_norm_sq(rows)[:, None]).mean(axis=0)
+    col_prob = (sub * sub / norm_sq[:, None]).mean(axis=0)
     return SampleDraw(row_idx=rows, row_prob=row_prob, col_idx=cols, col_prob=col_prob)
 
 
@@ -126,63 +130,55 @@ def _check_probs(d: SampleDraw) -> None:
         raise ZeroProbability("sample carries a zero probability; cannot rescale")
 
 
-def build_w(t, d: SampleDraw) -> np.ndarray:
-    """The P x P rescaled core W[p, q] = X[i_p, j_q] / (P sqrt(f_p g_q))."""
-    _check_probs(d)
-    x = _dense_of(t)
-    sub = x[np.ix_(d.row_idx, d.col_idx)]
-    return sub / (d.p * np.sqrt(d.row_prob[:, None] * d.col_prob[None, :]))
-
-
 def build_s(t, d: SampleDraw) -> np.ndarray:
-    """The P x n row sketch S[p, :] = X[i_p, :] / sqrt(P f_p); E[S^T S] = X^T X."""
+    """The P x n row sketch S[p, :] = X[i_p, :] / sqrt(P f_p); E[S^T S] = X^T X.
+
+    This is the sketch's only gather of the sampled rows.
+    """
     _check_probs(d)
     x = _dense_of(t)
     return x[d.row_idx] / np.sqrt(d.p * d.row_prob)[:, None]
 
 
+def build_w(s: np.ndarray, d: SampleDraw) -> np.ndarray:
+    """The P x P core W[p, q] = S[p, j_q] / sqrt(P g_q), read off the row sketch."""
+    _check_probs(d)
+    return s[:, d.col_idx] / np.sqrt(d.p * d.col_prob)
+
+
 def reconstruct(
     t,
-    d: SampleDraw,
-    w_svd: SvdResult,
+    s: np.ndarray,
+    w_svd: LowRankFactors,
     k: int,
-    rcond: float = DEFAULT_RCOND,
     reduced: bool = False,
-    orthonormalize: bool = True,
 ) -> LowRankFactors:
     """Lift the top-``k`` triplets of the core SVD back to full-size factors.
 
+    ``s`` is the row sketch of :func:`build_s` that the core was read off.
     The raw lifted directions v_i = S^T u'_i / s_i carry the column-sample
     noise of W as a skewed basis (their Gram matrix drifts from I like
     1/sqrt(P)), which dominates the reconstruction error long after the
-    spanned subspace itself is accurate. By default the basis is therefore
+    spanned subspace itself is accurate. The basis is therefore
     orthonormalized (QR, deterministic signs) and sigma_i, u_i recomputed
-    as the norm and direction of X v_i; ``orthonormalize=False`` keeps the
-    literal rescaled sum. Both modes agree on exact-coverage and rank-1
-    inputs.
+    as the norm and direction of X v_i.
 
-    Requires ``k`` singular values above ``rcond * max``; use
+    Requires ``k`` singular values above ``DEFAULT_RCOND * max``; use
     :func:`modfkv` for the warn-and-reduce behavior.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    usable = usable_rank(w_svd, rcond)
+    usable = usable_rank(w_svd, DEFAULT_RCOND)
     if usable < k:
         raise RankDeficientSketch(
             f"sketch has {usable} usable singular values, need {k}"
         )
-    s = build_s(t, d)
-    x = _dense_of(t)
-    sigma = w_svd.sigma[:k].copy()
-    v = (s.T @ w_svd.u[:, :k]) / sigma
-    if not orthonormalize:
-        u = (x @ v) / sigma
-        return LowRankFactors(k=k, sigma=sigma, u=u, v=v, reduced=reduced)
+    v = (s.T @ w_svd.u[:, :k]) / w_svd.sigma[:k]
     v, r = np.linalg.qr(v)
     flip = np.sign(np.diag(r))
     flip[flip == 0.0] = 1.0
     v = v * flip
-    xv = x @ v
+    xv = _dense_of(t) @ v
     sigma = np.linalg.norm(xv, axis=0)
     if np.any(sigma <= 0.0):
         raise RankDeficientSketch(
@@ -192,17 +188,17 @@ def reconstruct(
     sigma = sigma[order]
     v = v[:, order]
     u = xv[:, order] / sigma
-    return LowRankFactors(k=k, sigma=sigma, u=u, v=v, reduced=reduced)
+    return LowRankFactors(sigma=sigma, u=u, v=v, reduced=reduced)
 
 
-def usable_rank(w_svd: SvdResult, rcond: float) -> int:
+def usable_rank(w_svd: LowRankFactors, rcond: float) -> int:
     """Count of singular values above the relative floor."""
     top = w_svd.sigma[0] if w_svd.sigma.size else 0.0
     return int(np.count_nonzero(w_svd.sigma > rcond * top))
 
 
 def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
-    """Full sampled SVD: draw samples, build W, decompose, lift.
+    """Full sampled SVD: draw samples, gather S, read W off it, decompose, lift.
 
     Deterministic for a fixed ``cfg.seed``: the draw is the first use of
     ``np.random.default_rng(cfg.seed)``, so a caller that needs the sampled
@@ -214,9 +210,9 @@ def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
     """
     rng = np.random.default_rng(cfg.seed)
     d = draw_samples(t, cfg, rng)
-    w = build_w(t, d)
-    w_svd = svd_dense(w)
-    usable = usable_rank(w_svd, cfg.rcond)
+    s = build_s(t, d)
+    w_svd = svd_dense(build_w(s, d))
+    usable = usable_rank(w_svd, DEFAULT_RCOND)
     if usable == 0:
         raise RankDeficientSketch("core matrix has no usable singular values")
     k = cfg.k
@@ -228,4 +224,4 @@ def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
             stacklevel=2,
         )
         k = usable
-    return reconstruct(t, d, w_svd, k, cfg.rcond, reduced=reduced)
+    return reconstruct(t, s, w_svd, k, reduced=reduced)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -85,10 +86,20 @@ class TestRunExperiment:
         assert all(r.tree_build_s == 0.0 for r in by_strategy["uniform"])
 
     def test_deterministic_across_runs_and_jobs(self):
-        accs1 = [r.accuracy for r in run_experiment(tiny_spec()).records]
-        accs2 = [r.accuracy for r in run_experiment(tiny_spec()).records]
-        accs4 = [r.accuracy for r in run_experiment(tiny_spec(), jobs=2).records]
-        assert accs1 == accs2 == accs4
+        # Every field but the timings (accuracy, error, sampled_col_norms
+        # and the point's parameters) must not depend on the worker count.
+        sampled_norms = tiny_spec(
+            kind="sampled-norms", m=(30,), p=(12,), seeds=(0,), epochs=2,
+        )
+        for spec in (tiny_spec(), sampled_norms):
+            runs = [
+                [
+                    {k: v for k, v in asdict(r).items() if not k.endswith("_s")}
+                    for r in run_experiment(spec, jobs=jobs).records
+                ]
+                for jobs in (1, 1, 2)
+            ]
+            assert runs[0] == runs[1] == runs[2]
 
     def test_seed_changes_sketch_result(self):
         report = run_experiment(tiny_spec(strategies=("norm",)))
@@ -315,8 +326,7 @@ class TestCli:
         assert len(rows) == 1 and rows[0]["error"] is None
 
     def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
+        base = {
             "kind": "compare-sampling",
             "dataset": "synthetic",
             "m": [40],
@@ -325,12 +335,20 @@ class TestCli:
             "strategies": ["norm"],
             "seeds": [0],
             "subsample": 150,
-        }))
-        out = tmp_path / "run.csv"
-        code = main(["--config", str(cfg), "--k", "3", "--out", str(out)])
-        assert code == 0
-        rows = list(csv.DictReader(out.open()))
-        assert [r["K"] for r in rows] == ["3"]
+        }
+        every_field = dict(
+            base, learning_rate=1e-3, epochs=2, batch_size=32,
+            data_dir=str(tmp_path),
+        )
+        assert set(every_field) == {f.name for f in fields(ExperimentSpec)}
+        for loaded in (base, every_field):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(loaded))
+            out = tmp_path / "run.csv"
+            code = main(["--config", str(cfg), "--k", "3", "--out", str(out)])
+            assert code == 0
+            rows = list(csv.DictReader(out.open()))
+            assert [r["K"] for r in rows] == ["3"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -74,8 +74,6 @@ class TestInitFeatures:
             FeatureMap(a=np.ones((3, 2)), b=np.ones(2))
         with pytest.raises(NonFinite):
             FeatureMap(a=np.full((1, 1), np.nan), b=np.zeros(1))
-        with pytest.raises(ValueError):
-            FeatureMap(a=np.ones((1, 1)), b=np.zeros(1), activation="tanh")
 
 
 class TestFeaturize:

@@ -174,7 +174,6 @@ class TestTruncatedPinv:
 
     def test_rcond_drops_tiny_value(self):
         src = LowRankFactors(
-            k=3,
             sigma=np.array([4.0, 3.0, 1e-20]),
             u=np.eye(3),
             v=np.eye(3),
@@ -231,7 +230,6 @@ class TestApplyFactors:
 
     def test_rank_one_hand_case(self):
         f = LowRankFactors(
-            k=1,
             sigma=np.array([2.0]),
             u=np.array([[1.0], [0.0], [0.0]]),
             v=np.array([[0.0], [1.0]]),
@@ -242,7 +240,6 @@ class TestApplyFactors:
     def test_matches_dense_materialization(self):
         rng = np.random.default_rng(13)
         f = LowRankFactors(
-            k=2,
             sigma=rng.random(2) + 0.5,
             u=rng.standard_normal((5, 2)),
             v=rng.standard_normal((3, 2)),
@@ -255,7 +252,6 @@ class TestApplyFactors:
     def test_exactly_linear(self):
         rng = np.random.default_rng(17)
         f = LowRankFactors(
-            k=3,
             sigma=rng.random(3) + 0.5,
             u=rng.standard_normal((6, 3)),
             v=rng.standard_normal((4, 3)),
@@ -273,7 +269,6 @@ class TestApplyFactors:
     def test_matrix_matches_column_by_column(self):
         rng = np.random.default_rng(23)
         f = LowRankFactors(
-            k=3,
             sigma=rng.random(3) + 0.5,
             u=rng.standard_normal((6, 3)),
             v=rng.standard_normal((4, 3)),

@@ -43,8 +43,6 @@ class TestConfig:
             dict(k=0, p=5),
             dict(k=6, p=5),
             dict(k=2, p=5, strategy="leverage"),
-            dict(k=2, p=5, rcond=1.0),
-            dict(k=2, p=5, rcond=-0.1),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -141,18 +139,19 @@ class TestBuildW:
             col_idx=np.array([0]),
             col_prob=np.array([1.0]),
         )
-        np.testing.assert_array_equal(build_w(x, d), [[2.5]])
+        np.testing.assert_array_equal(build_w(build_s(x, d), d), [[2.5]])
 
     def test_identity_full_coverage(self):
         t = SegTreeMatrix(np.eye(2))
-        w = build_w(t, full_coverage_draw_identity(2))
+        d = full_coverage_draw_identity(2)
+        w = build_w(build_s(t, d), d)
         np.testing.assert_allclose(w, np.eye(2), atol=1e-15)
 
     def test_matches_scalar_recomputation(self):
         x = np.random.default_rng(7).standard_normal((6, 6))
         t = SegTreeMatrix(x)
         d = draw_samples(t, SketchConfig(k=2, p=10), np.random.default_rng(8))
-        w = build_w(t, d)
+        w = build_w(build_s(t, d), d)
         for p in range(10):
             for q in range(10):
                 expected = x[d.row_idx[p], d.col_idx[q]] / (
@@ -191,10 +190,9 @@ class TestReconstruct:
     def test_identity_exact_coverage(self):
         t = SegTreeMatrix(np.eye(2))
         d = full_coverage_draw_identity(2)
-        w_svd = svd_dense(build_w(t, d))
-        for ortho in (True, False):
-            f = reconstruct(t, d, w_svd, 2, orthonormalize=ortho)
-            np.testing.assert_allclose(materialize(f), np.eye(2), atol=1e-12)
+        s = build_s(t, d)
+        f = reconstruct(t, s, svd_dense(build_w(s, d)), 2)
+        np.testing.assert_allclose(materialize(f), np.eye(2), atol=1e-12)
 
     def test_rank_one_closed_form(self):
         rng = np.random.default_rng(10)
@@ -203,11 +201,10 @@ class TestReconstruct:
         x = 5.0 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
         t = SegTreeMatrix(x)
         d = draw_samples(t, SketchConfig(k=1, p=8), np.random.default_rng(11))
-        w_svd = svd_dense(build_w(t, d))
-        for ortho in (True, False):
-            f = reconstruct(t, d, w_svd, 1, orthonormalize=ortho)
-            assert f.sigma[0] == pytest.approx(5.0, rel=1e-6)
-            assert rel_err(materialize(f), x) <= 1e-6
+        s = build_s(t, d)
+        f = reconstruct(t, s, svd_dense(build_w(s, d)), 1)
+        assert f.sigma[0] == pytest.approx(5.0, rel=1e-6)
+        assert rel_err(materialize(f), x) <= 1e-6
 
     def test_planted_rank3_accuracy(self):
         x = synth_lowrank(40, 60, 3, 0.0, np.random.default_rng(12))
@@ -217,17 +214,6 @@ class TestReconstruct:
             for s in range(20)
         ]
         assert np.median(errs) <= 0.05
-
-    def test_literal_mode_basis_nearly_unit(self):
-        # Without orthonormalization the lifted directions keep an
-        # O(1/sqrt(P)) skew; at P=500 they should still be near unit norm.
-        x = synth_lowrank(60, 40, 3, 0.0, np.random.default_rng(13))
-        t = SegTreeMatrix(x)
-        d = draw_samples(t, SketchConfig(k=3, p=500), np.random.default_rng(14))
-        w_svd = svd_dense(build_w(t, d))
-        f = reconstruct(t, d, w_svd, 3, orthonormalize=False)
-        dev = np.abs(np.linalg.norm(f.v, axis=0) - 1.0)
-        assert np.median(dev) <= 0.15
 
     def test_error_decreases_with_more_samples(self):
         x = synth_lowrank(40, 60, 5, 0.05, np.random.default_rng(15))
@@ -248,10 +234,11 @@ class TestReconstruct:
         x = np.outer(np.ones(4), np.arange(1.0, 5.0))
         t = SegTreeMatrix(x)
         d = draw_samples(t, SketchConfig(k=2, p=6), np.random.default_rng(16))
-        w_svd = svd_dense(build_w(t, d))
+        s = build_s(t, d)
+        w_svd = svd_dense(build_w(s, d))
         assert usable_rank(w_svd, 1e-12) == 1
         with pytest.raises(RankDeficientSketch):
-            reconstruct(t, d, w_svd, 2)
+            reconstruct(t, s, w_svd, 2)
 
 
 class TestModfkv:
@@ -308,7 +295,8 @@ class TestModfkv:
         t = SegTreeMatrix(x)
         cfg = SketchConfig(k=3, p=12, seed=5)
         d = draw_samples(t, cfg, np.random.default_rng(cfg.seed))
-        ref = reconstruct(t, d, svd_dense(build_w(t, d)), cfg.k, cfg.rcond)
+        s = build_s(t, d)
+        ref = reconstruct(t, s, svd_dense(build_w(s, d)), cfg.k)
         f = modfkv(t, cfg)
         np.testing.assert_array_equal(f.sigma, ref.sigma)
         np.testing.assert_array_equal(f.u, ref.u)
