@@ -7,13 +7,22 @@ the sums of squares of its 64-column blocks, ``rows x ceil(cols/64)``
 floats, about 1/64 of the data. A column draw within a row is the same
 inverse CDF in two steps: a running sum over the row's block sums picks a
 block, then a running sum over that block's squared entries picks the
-column, O(cols/64 + 64). An entry update refreshes one block sum, the row
-total and one root path, also O(cols/64 + 64) plus O(log rows). The in-row
-law is only ever queried for sampled rows, so no per-entry structure is
-kept beside the raw signed entries.
+column, O(cols/64 + 64). The in-row law is only ever queried for sampled
+rows, so no per-entry structure is kept beside the raw signed entries.
+
+An entry update writes the entry and marks its block stale, O(1) work with
+no numpy reduction. The next read of the sampling state refreshes all p
+pending blocks in one vectorized pass: their block sums, then the touched
+row totals, then the root paths level by level, O(64 p + p log rows), plus
+one scan of the stale flags to find them. After any read the store equals a
+fresh build of the same entries bitwise. The pending state is one flag per
+block, so it is bounded by the store's shape whatever the number of updates.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -57,6 +66,36 @@ def _descend(nodes: np.ndarray, u: np.ndarray, leaves: int) -> np.ndarray:
     return k - leaves
 
 
+def _index(idx, size: int, what: str):
+    """Check an index into ``range(size)``: an int, or an int64 index array.
+
+    Non-integer indices raise ``TypeError``, as :func:`operator.index` does,
+    and are never truncated; out-of-range ones raise IndexOutOfRange.
+    """
+    try:
+        k = operator.index(idx)
+    except TypeError:
+        pass
+    else:
+        if 0 <= k < size:
+            return k
+        raise IndexOutOfRange(f"{what} index {k} outside [0, {size})")
+    a = np.asarray(idx)
+    if a.ndim == 0 or (a.size and a.dtype.kind not in "iu"):
+        raise TypeError(f"{what} indices must be integers, got {idx!r}")
+    a = a.astype(np.int64, copy=False)
+    if a.size and (a.min() < 0 or a.max() >= size):
+        raise IndexOutOfRange(f"{what} index outside [0, {size})")
+    return a
+
+
+def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (np.unique without its sort)."""
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _pick(csum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse CDF over running sums, one row of ``csum`` per draw.
 
@@ -73,9 +112,15 @@ def _pick(csum: np.ndarray, u: np.ndarray) -> np.ndarray:
 class SegTreeMatrix:
     """Matrix store supporting norm-weighted sampling and in-place updates.
 
-    Row draws cost O(log rows); an in-row column draw or an entry update
-    costs O(cols/64 + 64). The store beside the entries is the row tree
-    (2 pow2(rows) floats) and the block sums (rows x ceil(cols/64) floats).
+    Row draws cost O(log rows) and an in-row column draw O(cols/64 + 64).
+    An entry update is O(1) at the call; the next read refreshes the p
+    blocks updated since the last one in O(64 p + p log rows) vectorized
+    work, after one scan of the rows x ceil(cols/64) stale flags. The store beside the entries is the row tree (2 pow2(rows)
+    floats), the block sums (rows x ceil(cols/64) floats) and one stale
+    flag per block.
+
+    A read may refresh pending state, so a store with pending updates must
+    not be read from two threads at once.
     """
 
     def __init__(self, x):
@@ -101,18 +146,21 @@ class SegTreeMatrix:
         self._values = np.zeros((rows, cols))
         self._blocks = np.zeros((rows, -(-cols // BLOCK)))
         self._root_nodes = np.zeros(2 * self._rpad)
+        # Blocks written by update() since the last refresh.
+        self._stale = np.zeros(self._blocks.shape, dtype=bool)
+        self._pending = False
 
     # -- construction ------------------------------------------------------
 
     def set_rows(self, start: int, block) -> None:
         """Overwrite rows ``start:start+len(block)`` in one vectorized pass."""
         block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-        stop = start + block.shape[0]
-        if not (0 <= start and stop <= self.rows and block.shape[1] == self.cols):
+        if block.shape[1] != self.cols:
             raise IndexOutOfRange(
-                f"rows [{start}, {stop}) x {block.shape[1]} does not fit "
-                f"in {self.rows}x{self.cols}"
+                f"{block.shape[1]} columns do not fit in {self.rows}x{self.cols}"
             )
+        start = _index(start, self.rows - block.shape[0] + 1, "start row")
+        stop = start + block.shape[0]
         # A NaN or Inf entry makes the plain sum non-finite, so the entrywise
         # scan (and its rows x cols mask) runs only when the sum is; it also
         # tells an overflowing sum of finite entries apart.
@@ -128,53 +176,85 @@ class SegTreeMatrix:
         if full < sums.shape[1]:
             tail = values[:, full * BLOCK :]
             np.einsum("rk,rk->r", tail, tail, out=sums[:, full])
-        root = self._root_nodes
-        root[self._rpad + start : self._rpad + stop] = sums.sum(axis=1)
-        lo, hi = self._rpad + start, self._rpad + stop - 1
-        while lo > 1:
-            lo >>= 1
-            hi >>= 1
-            k = np.arange(lo, hi + 1)
-            root[k] = root[2 * k] + root[2 * k + 1]
+        self._stale[start:stop] = False
+        lo, hi = self._rpad + start, self._rpad + stop
+        self._root_nodes[lo:hi] = sums.sum(axis=1)
+        self._refresh_ancestors(np.arange(lo, hi))
 
     def update(self, i: int, j: int, v: float) -> None:
-        """Set entry (i, j) to ``v``; refresh its block sum and row total."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.rows}x{self.cols}")
+        """Set entry (i, j) to ``v`` and mark its block stale.
+
+        O(1) work with no numpy reduction: the index and the value are
+        checked here, and the next read refreshes the block sum, the row
+        total and the root path.
+        """
+        i = _index(i, self.rows, "row")
+        j = _index(j, self.cols, "column")
         v = float(v)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NonFinite(f"update value {v!r} is not finite")
         self._values[i, j] = v
-        # The 1-D einsum over a block equals set_rows' batched one bitwise,
-        # so a store kept by updates matches a fresh build exactly.
-        b = j // BLOCK
-        seg = self._values[i, b * BLOCK : (b + 1) * BLOCK]
-        sums = self._blocks[i]
-        sums[b] = np.einsum("k,k->", seg, seg)
+        self._stale[i, j // BLOCK] = True
+        self._pending = True
+
+    def _refresh(self) -> None:
+        """Recompute every stale block sum, row total and root path at once.
+
+        The einsums are set_rows' own, the ragged last block at its own
+        length, so the result equals a fresh build bitwise.
+        """
+        if not self._pending:
+            return
+        # flatnonzero is far cheaper than a 2-D nonzero, and lists the rows
+        # in order, so equal rows are adjacent.
+        rows, blocks = np.divmod(np.flatnonzero(self._stale), self._blocks.shape[1])
+        full = self.cols // BLOCK
+        is_full = blocks < full
+        r, b = rows[is_full], blocks[is_full]
+        # A view of the full blocks, so the gather copies whole blocks.
+        body = self._values[:, : full * BLOCK].reshape(self.rows, full, BLOCK)
+        seg = body[r, b]
+        self._blocks[r, b] = np.einsum("pk,pk->p", seg, seg)
+        tail = rows[~is_full]
+        if tail.size:
+            seg = self._values[tail, full * BLOCK :]
+            self._blocks[tail, full] = np.einsum("rk,rk->r", seg, seg)
+        touched = _dedupe_sorted(rows)
+        self._root_nodes[self._rpad + touched] = self._blocks[touched].sum(axis=1)
+        self._refresh_ancestors(self._rpad + touched)
+        self._stale[rows, blocks] = False
+        self._pending = False
+
+    def _refresh_ancestors(self, k: np.ndarray) -> None:
+        """Recompute the root tree above the leaves at heap positions ``k``
+        (sorted, distinct), level by level."""
         root = self._root_nodes
-        q = self._rpad + i
-        root[q] = sums.sum()
-        q >>= 1
-        while q >= 1:
-            root[q] = root[2 * q] + root[2 * q + 1]
-            q >>= 1
+        while k.size and k[0] > 1:
+            lo, hi = int(k[0]), int(k[-1])
+            # A contiguous range (set_rows, or a single row) has contiguous
+            # parents, so the sort-free dedupe is needed only for scattered rows.
+            if hi - lo + 1 == k.size:
+                k = np.arange(lo >> 1, (hi >> 1) + 1)
+            else:
+                k = _dedupe_sorted(k >> 1)
+            root[k] = root[2 * k] + root[2 * k + 1]
 
     # -- accessors ---------------------------------------------------------
 
     def get(self, i: int, j: int) -> float:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexOutOfRange(f"({i}, {j}) outside {self.rows}x{self.cols}")
+        i = _index(i, self.rows, "row")
+        j = _index(j, self.cols, "column")
         return float(self._values[i, j])
 
     def row_norm_sq(self, i):
         """Squared norm of row ``i``; accepts an int or an index array."""
-        i = np.asarray(i)
-        if i.size and (i.min() < 0 or i.max() >= self.rows):
-            raise IndexOutOfRange(f"row index outside [0, {self.rows})")
+        i = _index(i, self.rows, "row")
+        self._refresh()
         out = self._root_nodes[self._rpad + i]
         return float(out) if out.ndim == 0 else out
 
     def fro_norm_sq(self) -> float:
+        self._refresh()
         return float(self._root_nodes[1])
 
     @property
@@ -193,6 +273,7 @@ class SegTreeMatrix:
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. row indices with probability rowNormSq/froSq."""
+        self._refresh()
         total = self._root_nodes[1]
         if total <= 0.0:
             raise ZeroMatrix("cannot sample rows of an all-zero matrix")
@@ -211,9 +292,8 @@ class SegTreeMatrix:
         row's block sums picks the block, and ``u`` less the mass before that
         block picks the column from the running sum of its squared entries.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
-            raise IndexOutOfRange(f"row index outside [0, {self.rows})")
+        rows = _index(np.atleast_1d(rows), self.rows, "row")
+        self._refresh()
         totals = self._root_nodes[self._rpad + rows]
         if np.any(totals <= 0.0):
             bad = int(rows[np.argmax(totals <= 0.0)])

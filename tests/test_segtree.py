@@ -104,11 +104,12 @@ class TestUpdate:
                 t.update(i, j, v)
             fresh = SegTreeMatrix(x)
             # Block sums, row totals and parents are always recomputed from
-            # their parts, so the internal arrays agree bitwise with a
-            # from-scratch build.
+            # their parts, so after a read has refreshed the pending blocks
+            # the internal arrays agree bitwise with a from-scratch build.
             np.testing.assert_array_equal(t.to_dense(), fresh.to_dense())
-            np.testing.assert_array_equal(t._blocks, fresh._blocks)
             assert t.fro_norm_sq() == fresh.fro_norm_sq()
+            np.testing.assert_array_equal(t._blocks, fresh._blocks)
+            np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
             np.testing.assert_array_equal(
                 t.row_norm_sq(np.arange(13)), fresh.row_norm_sq(np.arange(13))
             )
@@ -140,6 +141,153 @@ class TestUpdate:
             t.row_norm_sq(5)
         with pytest.raises(NonFinite):
             t.update(0, 0, np.nan)
+
+
+class TestIndexValidation:
+    """One index check at every reader and writer: a non-integer index is a
+    TypeError and is never truncated; an out-of-range one is IndexOutOfRange."""
+
+    def calls(self, t, rng):
+        return {
+            "get": lambda i, j: t.get(i, j),
+            "update": lambda i, j: t.update(i, j, 1.0),
+            "row_norm_sq": lambda i, j: t.row_norm_sq(i),
+            "sample_cols_in_rows": lambda i, j: t.sample_cols_in_rows(np.array([i]), rng),
+            "sample_col_in_row": lambda i, j: t.sample_col_in_row(i, rng),
+            "set_rows": lambda i, j: t.set_rows(i, np.ones((1, 3))),
+        }
+
+    def test_each_method(self):
+        t = SegTreeMatrix(np.ones((2, 3)))
+        for name, call in self.calls(t, np.random.default_rng(0)).items():
+            for i, j in ((1.7, 0), (1.0, 0), (np.float64(1.0), 0)):
+                with pytest.raises(TypeError):
+                    call(i, j)
+            for i, j in ((2, 0), (-1, 0)):
+                with pytest.raises(IndexOutOfRange):
+                    call(i, j)
+            call(np.int64(1), np.int32(2))
+            call(1, 2)
+            if name in ("get", "update"):
+                with pytest.raises(TypeError):
+                    call(0, 2.5)
+                for j in (3, -1):
+                    with pytest.raises(IndexOutOfRange):
+                        call(0, j)
+        with pytest.raises(TypeError):
+            t.row_norm_sq(np.array([0, 1.0]))
+        with pytest.raises(TypeError):
+            t.sample_cols_in_rows(np.array([True]), np.random.default_rng(0))
+        with pytest.raises(IndexOutOfRange):
+            t.row_norm_sq(np.array([0, 2]))
+        assert t.row_norm_sq([]).shape == (0,)
+
+    def test_rejected_update_changes_nothing(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((13, 150))
+        t = SegTreeMatrix(x)
+        # A pending update before the rejected ones.
+        t.update(4, 70, 2.0)
+        x[4, 70] = 2.0
+        stale = t._stale.copy()
+        bad = (
+            (1.5, 0, 1.0, TypeError), (0, 2.5, 1.0, TypeError),
+            (13, 0, 1.0, IndexOutOfRange), (0, 150, 1.0, IndexOutOfRange),
+            (3, 5, np.nan, NonFinite), (3, 5, 1e400, NonFinite),
+            (3, 5, -np.inf, NonFinite),
+        )
+        for i, j, v, error in bad:
+            # Rejected at the call, not at the next read.
+            with pytest.raises(error):
+                t.update(i, j, v)
+        np.testing.assert_array_equal(t.dense, x)
+        np.testing.assert_array_equal(t._stale, stale)
+        fresh = SegTreeMatrix(x)
+        assert t.fro_norm_sq() == fresh.fro_norm_sq()
+        np.testing.assert_array_equal(t._blocks, fresh._blocks)
+        np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
+
+
+class TestInterleaving:
+    """Seeded runs of update, set_rows and reads; after every read the store
+    equals a fresh build of the same entries, and draws the same samples."""
+
+    def check_equals_fresh(self, t, x, seed):
+        fresh = SegTreeMatrix(x)
+        read = seed % 4
+        if read == 0:
+            t.fro_norm_sq()
+        elif read == 1:
+            t.row_norm_sq(seed % t.rows)
+        elif read == 2 and fresh.fro_norm_sq() > 0.0:
+            t.sample_rows(np.random.default_rng(seed), 8)
+        else:
+            t.row_norm_sq(np.arange(t.rows))
+        np.testing.assert_array_equal(t.dense, x)
+        np.testing.assert_array_equal(t._blocks, fresh._blocks)
+        np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
+        if fresh.fro_norm_sq() == 0.0:
+            with pytest.raises(ZeroMatrix):
+                t.sample_rows(np.random.default_rng(seed), 8)
+            return
+        rows = t.sample_rows(np.random.default_rng(seed), 64)
+        np.testing.assert_array_equal(
+            rows, fresh.sample_rows(np.random.default_rng(seed), 64)
+        )
+        np.testing.assert_array_equal(
+            t.sample_cols_in_rows(rows, np.random.default_rng(seed + 1)),
+            fresh.sample_cols_in_rows(rows, np.random.default_rng(seed + 1)),
+        )
+
+    def run(self, t, x, seed, steps=300):
+        rng = np.random.default_rng(seed)
+        rows, cols = x.shape
+        for step in range(steps):
+            op = rng.random()
+            if op < 0.7:
+                i, j = int(rng.integers(rows)), int(rng.integers(cols))
+                v = 0.0 if rng.random() < 0.3 else float(rng.standard_normal())
+                t.update(i, j, v)
+                x[i, j] = v
+            elif op < 0.8:
+                # Pending updates, then set_rows over the same rows.
+                start = int(rng.integers(rows))
+                stop = int(rng.integers(start, rows)) + 1
+                for _ in range(5):
+                    t.update(int(rng.integers(start, stop)), int(rng.integers(cols)), 3.0)
+                block = rng.standard_normal((stop - start, cols))
+                t.set_rows(start, block)
+                x[start:stop] = block
+            elif op < 0.85:
+                # Zero writes that clear a whole row.
+                i = int(rng.integers(rows))
+                for j in range(cols):
+                    t.update(i, j, 0.0)
+                x[i] = 0.0
+                with pytest.raises(ZeroRow):
+                    t.sample_col_in_row(i, np.random.default_rng(step))
+                self.check_equals_fresh(t, x, step)
+            else:
+                self.check_equals_fresh(t, x, step)
+        self.check_equals_fresh(t, x, steps)
+
+    @pytest.mark.parametrize("shape", [(13, 21), (13, 150), (5, 64), (1, 1)])
+    def test_matches_fresh_build(self, shape):
+        x = np.random.default_rng(21).standard_normal(shape)
+        x[:, 64:128] = 0.0
+        self.run(SegTreeMatrix(x), x, seed=22)
+
+    def test_zeros_store_filled_by_updates(self):
+        x = np.zeros((9, 130))
+        t = SegTreeMatrix.zeros(9, 130)
+        self.check_equals_fresh(t, x, 0)
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            i, j = int(rng.integers(9)), int(rng.integers(130))
+            v = float(rng.standard_normal())
+            t.update(i, j, v)
+            x[i, j] = v
+        self.run(t, x, seed=24)
 
 
 class TestRowSampling:
@@ -297,6 +445,24 @@ class TestStoreSize:
             tracemalloc.stop()
         assert t.fro_norm_sq() > 0.0
         assert peak <= 1.05 * x.nbytes + 64 * rows, peak / x.nbytes
+
+
+    def test_pending_updates_are_bounded_by_shape(self):
+        """Updates with no read in between keep at most one flag per block."""
+        rows, cols, n = 512, 4096, 100_000
+        t = SegTreeMatrix(np.random.default_rng(25).standard_normal((rows, cols)))
+        rng = np.random.default_rng(26)
+        ii = rng.integers(0, rows, n).tolist()
+        jj = rng.integers(0, cols, n).tolist()
+        vv = rng.standard_normal(n).tolist()
+        tracemalloc.start()
+        try:
+            for i, j, v in zip(ii, jj, vv):
+                t.update(i, j, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * -(-cols // 64) + 4096, peak
 
 
 class TestScaling:
