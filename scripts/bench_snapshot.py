@@ -3,10 +3,12 @@
 
 Needs no data files: every input is a seeded Gaussian matrix. For each
 shape it times the store build, a P=256 row draw, 256 in-row column draws,
-and 2000 entry updates followed by the read that refreshes them. Each entry
-gives the median and the minimum over the repeats, taken after one
-untimed warm-up, and the process's peak RSS so far. A machine block
-records the cores, numpy, its BLAS and the BLAS thread settings.
+2000 entry updates followed by the read that refreshes them, and single
+updates each followed by a read (the mean per pair over 100 pairs). Each
+layer gives the median and the minimum over the repeats, taken after one
+untimed warm-up. Each shape runs in its own fresh process, whose peak RSS
+(the imports included) is recorded once per shape. A machine block records
+the cores, numpy, its BLAS and the BLAS thread settings.
 
     python3 scripts/bench_snapshot.py --label change --out BENCH_6.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
@@ -24,6 +26,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ((2**10, 64), (2**14, 64), (2**18, 64), (2048, 4096))
 DRAWS = 256
 UPDATES = 2000
+PAIRS = 100
 REPEATS = 7
 
 
@@ -75,7 +79,7 @@ def timed(fn, repeats: int) -> dict:
     return summary(times)
 
 
-def measure(rows: int, cols: int, repeats: int) -> list[dict]:
+def measure(rows: int, cols: int, repeats: int) -> dict:
     import numpy as np
     from sketchlearn.segtree import SegTreeMatrix
 
@@ -105,37 +109,64 @@ def measure(rows: int, cols: int, repeats: int) -> list[dict]:
     out.append(("updates", summary(upd)))
     out.append(("refresh", summary(refresh)))
     out.append(("updates_plus_refresh", summary([a + b for a, b in zip(upd, refresh)])))
-    rss = peak_rss_mb()
-    return [
-        {"layer": name, "rows": rows, "cols": cols, **stats, "peak_rss_mb": rss}
-        for name, stats in out
-    ]
+    ii = rng.integers(0, rows, PAIRS).tolist()
+    jj = rng.integers(0, cols, PAIRS).tolist()
+
+    def pairs():
+        for i, j in zip(ii, jj):
+            store.update(i, j, 1.5)
+            store.fro_norm_sq()
+
+    stats = timed(pairs, repeats)
+    out.append(("update_then_read", {
+        "median_s": stats["median_s"] / PAIRS, "min_s": stats["min_s"] / PAIRS,
+        "repeats": stats["repeats"]}))
+    return {"rows": rows, "cols": cols, "peak_rss_mb": peak_rss_mb(),
+            "layers": dict(out)}
+
+
+def measure_fresh(rows: int, cols: int, src: Path) -> dict:
+    """Run :func:`measure` for one shape in a new interpreter."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--shape", f"{rows}x{cols}"],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(done.stdout)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory to import sketchlearn from (default: this checkout's src)")
-    ap.add_argument("--label", required=True, help="key of this snapshot in the output file")
-    ap.add_argument("--out", type=Path, required=True, help="JSON file to add the snapshot to")
+    ap.add_argument("--label", help="key of this snapshot in the output file")
+    ap.add_argument("--out", type=Path, help="JSON file to add the snapshot to")
+    ap.add_argument("--shape", help="measure one ROWSxCOLS shape and print its JSON")
     args = ap.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
+    src = args.src.resolve()
+    if args.shape:
+        sys.path.insert(0, str(src))
+        rows, cols = map(int, args.shape.split("x"))
+        print(json.dumps(measure(rows, cols, REPEATS)))
+        return
+    if not (args.label and args.out):
+        ap.error("--label and --out are required")
 
-    entries = []
-    for rows, cols in SHAPES:
-        entries.extend(measure(rows, cols, REPEATS))
+    shapes = [measure_fresh(rows, cols, src) for rows, cols in SHAPES]
     snapshot = {
         "machine": machine(),
         "updates": UPDATES,
         "draws": DRAWS,
-        "entries": entries,
+        "pairs": PAIRS,
+        "shapes": shapes,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("snapshots", {})[args.label] = snapshot
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for e in entries:
-        print(f"{e['layer']:>22} {e['rows']:>7}x{e['cols']:<5} "
-              f"median {e['median_s'] * 1e3:9.3f} ms  min {e['min_s'] * 1e3:9.3f} ms")
+    for shape in shapes:
+        print(f"{shape['rows']}x{shape['cols']}: peak RSS {shape['peak_rss_mb']:.1f} MB")
+        for name, e in shape["layers"].items():
+            print(f"  {name:>22} median {e['median_s'] * 1e3:9.3f} ms"
+                  f"  min {e['min_s'] * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ rows, so no per-entry structure is kept beside the raw signed entries.
 An entry update writes the entry and marks its block stale, O(1) work with
 no numpy reduction. The next read of the sampling state refreshes all p
 pending blocks in one vectorized pass: their block sums, then the touched
-row totals, then the root paths level by level, O(64 p + p log rows), plus
-one scan of the stale flags to find them. After any read the store equals a
+row totals, then the root paths level by level, O(64 p + p log rows). To
+find them it scans one stale flag per row, then the block flags of the t
+touched rows only, O(rows + t cols/64). After any read the store equals a
 fresh build of the same entries bitwise. The pending state is one flag per
-block, so it is bounded by the store's shape whatever the number of updates.
+block and one per row, so it is bounded by the store's shape whatever the
+number of updates.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ class SegTreeMatrix:
     Row draws cost O(log rows) and an in-row column draw O(cols/64 + 64).
     An entry update is O(1) at the call; the next read refreshes the p
     blocks updated since the last one in O(64 p + p log rows) vectorized
-    work, after one scan of the rows x ceil(cols/64) stale flags. The store beside the entries is the row tree (2 pow2(rows)
+    work, after a scan of the row flags and of the touched rows' block
+    flags. The store beside the entries is the row tree (2 pow2(rows)
     floats), the block sums (rows x ceil(cols/64) floats) and one stale
-    flag per block.
+    flag per block and per row.
 
     A read may refresh pending state, so a store with pending updates must
     not be read from two threads at once.
@@ -146,8 +149,10 @@ class SegTreeMatrix:
         self._values = np.zeros((rows, cols))
         self._blocks = np.zeros((rows, -(-cols // BLOCK)))
         self._root_nodes = np.zeros(2 * self._rpad)
-        # Blocks written by update() since the last refresh.
+        # Blocks written by update() since the last refresh, and their rows,
+        # so a refresh scans the row flags and only the touched rows' blocks.
         self._stale = np.zeros(self._blocks.shape, dtype=bool)
+        self._stale_rows = np.zeros(rows, dtype=bool)
         self._pending = False
 
     # -- construction ------------------------------------------------------
@@ -177,6 +182,7 @@ class SegTreeMatrix:
             tail = values[:, full * BLOCK :]
             np.einsum("rk,rk->r", tail, tail, out=sums[:, full])
         self._stale[start:stop] = False
+        self._stale_rows[start:stop] = False
         lo, hi = self._rpad + start, self._rpad + stop
         self._root_nodes[lo:hi] = sums.sum(axis=1)
         self._refresh_ancestors(np.arange(lo, hi))
@@ -195,6 +201,7 @@ class SegTreeMatrix:
             raise NonFinite(f"update value {v!r} is not finite")
         self._values[i, j] = v
         self._stale[i, j // BLOCK] = True
+        self._stale_rows[i] = True
         self._pending = True
 
     def _refresh(self) -> None:
@@ -205,9 +212,11 @@ class SegTreeMatrix:
         """
         if not self._pending:
             return
-        # flatnonzero is far cheaper than a 2-D nonzero, and lists the rows
-        # in order, so equal rows are adjacent.
-        rows, blocks = np.divmod(np.flatnonzero(self._stale), self._blocks.shape[1])
+        touched = np.flatnonzero(self._stale_rows)
+        hit, blocks = np.divmod(
+            np.flatnonzero(self._stale[touched]), self._blocks.shape[1]
+        )
+        rows = touched[hit]
         full = self.cols // BLOCK
         is_full = blocks < full
         r, b = rows[is_full], blocks[is_full]
@@ -219,10 +228,10 @@ class SegTreeMatrix:
         if tail.size:
             seg = self._values[tail, full * BLOCK :]
             self._blocks[tail, full] = np.einsum("rk,rk->r", seg, seg)
-        touched = _dedupe_sorted(rows)
         self._root_nodes[self._rpad + touched] = self._blocks[touched].sum(axis=1)
         self._refresh_ancestors(self._rpad + touched)
-        self._stale[rows, blocks] = False
+        self._stale[touched] = False
+        self._stale_rows[touched] = False
         self._pending = False
 
     def _refresh_ancestors(self, k: np.ndarray) -> None:
@@ -230,13 +239,7 @@ class SegTreeMatrix:
         (sorted, distinct), level by level."""
         root = self._root_nodes
         while k.size and k[0] > 1:
-            lo, hi = int(k[0]), int(k[-1])
-            # A contiguous range (set_rows, or a single row) has contiguous
-            # parents, so the sort-free dedupe is needed only for scattered rows.
-            if hi - lo + 1 == k.size:
-                k = np.arange(lo >> 1, (hi >> 1) + 1)
-            else:
-                k = _dedupe_sorted(k >> 1)
+            k = _dedupe_sorted(k >> 1)
             root[k] = root[2 * k] + root[2 * k + 1]
 
     # -- accessors ---------------------------------------------------------

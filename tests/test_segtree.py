@@ -189,7 +189,7 @@ class TestIndexValidation:
         # A pending update before the rejected ones.
         t.update(4, 70, 2.0)
         x[4, 70] = 2.0
-        stale = t._stale.copy()
+        stale, stale_rows = t._stale.copy(), t._stale_rows.copy()
         bad = (
             (1.5, 0, 1.0, TypeError), (0, 2.5, 1.0, TypeError),
             (13, 0, 1.0, IndexOutOfRange), (0, 150, 1.0, IndexOutOfRange),
@@ -202,6 +202,7 @@ class TestIndexValidation:
                 t.update(i, j, v)
         np.testing.assert_array_equal(t.dense, x)
         np.testing.assert_array_equal(t._stale, stale)
+        np.testing.assert_array_equal(t._stale_rows, stale_rows)
         fresh = SegTreeMatrix(x)
         assert t.fro_norm_sq() == fresh.fro_norm_sq()
         np.testing.assert_array_equal(t._blocks, fresh._blocks)
@@ -448,7 +449,8 @@ class TestStoreSize:
 
 
     def test_pending_updates_are_bounded_by_shape(self):
-        """Updates with no read in between keep at most one flag per block."""
+        """Updates with no read in between keep at most one flag per block
+        and one per row, allocated with the store."""
         rows, cols, n = 512, 4096, 100_000
         t = SegTreeMatrix(np.random.default_rng(25).standard_normal((rows, cols)))
         rng = np.random.default_rng(26)
