@@ -3,16 +3,19 @@
 
 Needs no data files: every input is a seeded Gaussian matrix. For each
 shape it times the store build, a P=256 row draw, 256 in-row column draws,
-2000 entry updates followed by the read that refreshes them, and single
-updates each followed by a read (the mean per pair over 100 pairs). Each
-layer gives the median and the minimum over the repeats, taken after one
-untimed warm-up. Each shape runs in its own fresh process, whose peak RSS
-(the imports included) is recorded once per shape. A machine block records
-the cores, numpy, its BLAS and the BLAS thread settings.
+a whole P=256 sketch draw (``draw_samples``) for the norm and the uniform
+strategy, 2000 entry updates followed by the read that refreshes them, and
+single updates each followed by a read (the mean per pair over 100 pairs).
+Every repeat of a draw layer draws fresh rows, as a workload does; the
+column draws get theirs from an untimed row draw. Each layer gives the
+median and the minimum over the repeats, taken after one untimed warm-up.
+Each shape runs in its own fresh process, whose peak RSS (the imports
+included) is recorded once per shape. A machine block records the cores,
+numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_6.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_7.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_6.json
+        --out BENCH_7.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -68,19 +71,24 @@ def summary(times: list[float]) -> dict:
     return {"median_s": statistics.median(times), "min_s": min(times), "repeats": len(times)}
 
 
-def timed(fn, repeats: int) -> dict:
-    """Median and min of ``repeats`` timed calls, after one untimed warm-up."""
-    fn()
+def timed(fn, repeats: int, fresh=None) -> dict:
+    """Median and min of ``repeats`` timed calls, after one untimed warm-up.
+
+    With ``fresh``, each call is ``fn(fresh())``, and ``fresh`` is untimed.
+    """
     times = []
-    for _ in range(repeats):
+    for rep in range(repeats + 1):
+        args = (fresh(),) if fresh else ()
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        fn(*args)
+        if rep:  # call 0 is the warm-up
+            times.append(time.perf_counter() - t0)
     return summary(times)
 
 
 def measure(rows: int, cols: int, repeats: int) -> dict:
     import numpy as np
+    from sketchlearn.modfkv import SketchConfig, draw_samples
     from sketchlearn.segtree import SegTreeMatrix
 
     rng = np.random.default_rng([rows, cols])
@@ -88,9 +96,13 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
     out = [("store_build", timed(lambda: SegTreeMatrix(x), repeats))]
     store = SegTreeMatrix(x)
     out.append(("sample_rows", timed(lambda: store.sample_rows(rng, DRAWS), repeats)))
-    picked = store.sample_rows(rng, DRAWS)
     out.append(("sample_cols_in_rows",
-                timed(lambda: store.sample_cols_in_rows(picked, rng), repeats)))
+                timed(lambda rows: store.sample_cols_in_rows(rows, rng), repeats,
+                      fresh=lambda: store.sample_rows(rng, DRAWS))))
+    for strategy in ("norm", "uniform"):
+        cfg = SketchConfig(k=10, p=DRAWS, strategy=strategy)
+        out.append((f"draw_samples_{strategy}",
+                    timed(lambda: draw_samples(store, cfg, rng), repeats)))
     # The first read after the updates refreshes whatever they left pending.
     upd, refresh = [], []
     for rep in range(repeats + 1):

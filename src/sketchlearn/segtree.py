@@ -8,7 +8,9 @@ floats, about 1/64 of the data. A column draw within a row is the same
 inverse CDF in two steps: a running sum over the row's block sums picks a
 block, then a running sum over that block's squared entries picks the
 column, O(cols/64 + 64). The in-row law is only ever queried for sampled
-rows, so no per-entry structure is kept beside the raw signed entries.
+rows, so no per-entry structure is kept beside the raw signed entries. A
+batch of draws walks the tree with its indices and uniforms updated in
+place, and gathers each drawn block whole and squares it in place.
 
 An entry update writes the entry and marks its block stale, O(1) work with
 no numpy reduction. The next read of the sampling state refreshes all p
@@ -19,6 +21,12 @@ touched rows only, O(rows + t cols/64). After any read the store equals a
 fresh build of the same entries bitwise. The pending state is one flag per
 block and one per row, so it is bounded by the store's shape whatever the
 number of updates.
+
+Every sum of squares must be finite. ``set_rows`` raises NonFinite, and
+writes nothing, when one of its rows' block sums or totals is not (a NaN
+or Inf entry, or squares that overflow); ``update`` does when the square of
+its value overflows; and a read raises it when the row totals sum past the
+largest float. So no draw ever walks a non-finite sum.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ from .errors import (
 
 
 BLOCK = 64
-_LANES = np.arange(BLOCK)
 
 
 def _pow2_at_least(n: int) -> int:
@@ -51,21 +58,30 @@ def _pow2_at_least(n: int) -> int:
 def _descend(nodes: np.ndarray, u: np.ndarray, leaves: int) -> np.ndarray:
     """Vectorized prefix-sum descent of one tree; one entry of ``u`` per draw.
 
-    Ties go right: the left branch is taken only when u < leftSum, except
-    that an empty right subtree forces left so rounding can never enter
-    zero mass.
+    At each level a draw goes right iff u >= leftSum and the right subtree
+    has mass: ties go right, and rounding can never enter zero mass. ``k``
+    and ``u`` are updated in place (``u`` is overwritten) and the child sums
+    are gathered into reused buffers, so a level allocates nothing.
     """
-    if u.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    u = u.copy()
     k = np.ones(u.shape, dtype=np.int64)
-    while k[0] < leaves:
-        left = nodes[2 * k]
-        right = nodes[2 * k + 1]
-        go_left = (u < left) | (right <= 0.0)
-        k = 2 * k + (~go_left)
-        u = np.where(go_left, u, u - left)
-    return k - leaves
+    left = np.empty_like(u)
+    right = np.empty_like(u)
+    go_right = np.empty(u.shape, dtype=bool)
+    has_mass = np.empty(u.shape, dtype=bool)
+    width = 1
+    while width < leaves:
+        k <<= 1
+        # Every index is in range, and "clip" lets take write straight to out.
+        np.take(nodes, k, out=left, mode="clip")
+        np.take(nodes[1:], k, out=right, mode="clip")
+        np.greater_equal(u, left, out=go_right)
+        np.greater(right, 0.0, out=has_mass)
+        go_right &= has_mass
+        k += go_right
+        np.subtract(u, left, out=u, where=go_right)
+        width <<= 1
+    k -= leaves
+    return k
 
 
 def _index(idx, size: int, what: str):
@@ -102,13 +118,24 @@ def _pick(csum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse CDF over running sums, one row of ``csum`` per draw.
 
     The index is the count of running sums <= u, the same tie rule as
-    :func:`_descend`. It is clamped to the last entry with positive mass
-    (the first whose running sum reaches the row's total), so rounding can
-    never select zero mass.
+    :func:`_descend`, with u capped just below the row's total (its last
+    running sum). So the index is at most that of the last entry with
+    positive mass, and rounding can never select zero mass. One compare
+    pass over ``csum``.
     """
-    hit = np.count_nonzero(csum <= u[:, None], axis=1)
-    last = np.count_nonzero(csum < csum[:, -1:], axis=1)
-    return np.minimum(hit, last)
+    cap = np.nextafter(csum[:, -1], -np.inf)
+    np.minimum(cap, u, out=cap)
+    return np.count_nonzero(csum <= cap[:, None], axis=1)
+
+
+def _pick_in_block(seg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Offset of the drawn entry in each gathered block row of ``seg``.
+
+    ``seg`` is a fresh gather; it is squared and summed in place.
+    """
+    seg *= seg
+    np.cumsum(seg, axis=1, out=seg)
+    return _pick(seg, u)
 
 
 class SegTreeMatrix:
@@ -158,33 +185,39 @@ class SegTreeMatrix:
     # -- construction ------------------------------------------------------
 
     def set_rows(self, start: int, block) -> None:
-        """Overwrite rows ``start:start+len(block)`` in one vectorized pass."""
-        block = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        """Overwrite rows ``start:start+len(block)`` in one vectorized pass.
+
+        The block sums and row totals are computed before anything is
+        written. A NaN or Inf entry, or squares whose sum overflows, makes
+        one of them non-finite; then NonFinite is raised and the store is
+        left unchanged.
+        """
+        # C order, so the einsums below run as on the store's own rows.
+        block = np.atleast_2d(np.ascontiguousarray(block, dtype=np.float64))
         if block.shape[1] != self.cols:
             raise IndexOutOfRange(
                 f"{block.shape[1]} columns do not fit in {self.rows}x{self.cols}"
             )
         start = _index(start, self.rows - block.shape[0] + 1, "start row")
         stop = start + block.shape[0]
-        # A NaN or Inf entry makes the plain sum non-finite, so the entrywise
-        # scan (and its rows x cols mask) runs only when the sum is; it also
-        # tells an overflowing sum of finite entries apart.
-        if not np.isfinite(block.sum()) and not np.isfinite(block).all():
-            raise NonFinite("block contains NaN or Inf")
-        values = self._values[start:stop]
-        values[...] = block
-        sums = self._blocks[start:stop]
+        sums = np.empty((block.shape[0], self._blocks.shape[1]))
         full = self.cols // BLOCK
         if full:
-            body = values[:, : full * BLOCK].reshape(len(values), full, BLOCK)
+            body = block[:, : full * BLOCK].reshape(len(block), full, BLOCK)
             np.einsum("rbk,rbk->rb", body, body, out=sums[:, :full])
         if full < sums.shape[1]:
-            tail = values[:, full * BLOCK :]
+            tail = block[:, full * BLOCK :]
             np.einsum("rk,rk->r", tail, tail, out=sums[:, full])
+        with np.errstate(over="ignore"):
+            totals = sums.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise NonFinite("block has NaN or Inf entries, or its squares overflow")
+        self._values[start:stop] = block
+        self._blocks[start:stop] = sums
         self._stale[start:stop] = False
         self._stale_rows[start:stop] = False
         lo, hi = self._rpad + start, self._rpad + stop
-        self._root_nodes[lo:hi] = sums.sum(axis=1)
+        self._root_nodes[lo:hi] = totals
         self._refresh_ancestors(np.arange(lo, hi))
 
     def update(self, i: int, j: int, v: float) -> None:
@@ -192,26 +225,37 @@ class SegTreeMatrix:
 
         O(1) work with no numpy reduction: the index and the value are
         checked here, and the next read refreshes the block sum, the row
-        total and the root path.
+        total and the root path. A value that is not finite, or whose
+        square overflows, raises NonFinite.
         """
         i = _index(i, self.rows, "row")
         j = _index(j, self.cols, "column")
         v = float(v)
-        if not math.isfinite(v):
-            raise NonFinite(f"update value {v!r} is not finite")
+        if not math.isfinite(v * v):
+            raise NonFinite(f"update value {v!r} is not finite or its square overflows")
         self._values[i, j] = v
         self._stale[i, j // BLOCK] = True
         self._stale_rows[i] = True
         self._pending = True
 
     def _refresh(self) -> None:
+        """Bring the sampling state up to date for a read, and check it.
+
+        Pending updates are refreshed first. The row totals are
+        nonnegative, so a non-finite one makes the Frobenius total
+        non-finite too; a read then raises NonFinite, and never samples.
+        """
+        if self._pending:
+            self._refresh_pending()
+        if not math.isfinite(self._root_nodes[1]):
+            raise NonFinite("the sum of squared entries overflows")
+
+    def _refresh_pending(self) -> None:
         """Recompute every stale block sum, row total and root path at once.
 
         The einsums are set_rows' own, the ragged last block at its own
         length, so the result equals a fresh build bitwise.
         """
-        if not self._pending:
-            return
         touched = np.flatnonzero(self._stale_rows)
         hit, blocks = np.divmod(
             np.flatnonzero(self._stale[touched]), self._blocks.shape[1]
@@ -228,7 +272,9 @@ class SegTreeMatrix:
         if tail.size:
             seg = self._values[tail, full * BLOCK :]
             self._blocks[tail, full] = np.einsum("rk,rk->r", seg, seg)
-        self._root_nodes[self._rpad + touched] = self._blocks[touched].sum(axis=1)
+        with np.errstate(over="ignore"):
+            totals = self._blocks[touched].sum(axis=1)
+        self._root_nodes[self._rpad + touched] = totals
         self._refresh_ancestors(self._rpad + touched)
         self._stale[touched] = False
         self._stale_rows[touched] = False
@@ -238,9 +284,11 @@ class SegTreeMatrix:
         """Recompute the root tree above the leaves at heap positions ``k``
         (sorted, distinct), level by level."""
         root = self._root_nodes
-        while k.size and k[0] > 1:
-            k = _dedupe_sorted(k >> 1)
-            root[k] = root[2 * k] + root[2 * k + 1]
+        # An overflowing total becomes inf, which every read then rejects.
+        with np.errstate(over="ignore"):
+            while k.size and k[0] > 1:
+                k = _dedupe_sorted(k >> 1)
+                root[k] = root[2 * k] + root[2 * k + 1]
 
     # -- accessors ---------------------------------------------------------
 
@@ -280,7 +328,8 @@ class SegTreeMatrix:
         total = self._root_nodes[1]
         if total <= 0.0:
             raise ZeroMatrix("cannot sample rows of an all-zero matrix")
-        u = rng.random(size) * total
+        u = rng.random(size)
+        u *= total
         return _descend(self._root_nodes, u, self._rpad)
 
     def sample_row(self, rng: np.random.Generator) -> int:
@@ -302,14 +351,23 @@ class SegTreeMatrix:
             bad = int(rows[np.argmax(totals <= 0.0)])
             raise ZeroRow(f"row {bad} has zero norm; its column law is undefined")
         u = rng.random(rows.size) * totals
-        csum = np.cumsum(self._blocks[rows], axis=1)
+        csum = self._blocks[rows]
+        np.cumsum(csum, axis=1, out=csum)
         b = _pick(csum, u)
         u -= np.where(b > 0, csum[np.arange(rows.size), b - 1], 0.0)
-        cols = b[:, None] * BLOCK + _LANES[: self.cols]
-        flat = rows[:, None] * self.cols + np.minimum(cols, self.cols - 1)
-        sq = self._values.ravel().take(flat) ** 2
-        sq[cols >= self.cols] = 0.0
-        return b * BLOCK + _pick(np.cumsum(sq, axis=1), u)
+        full = self.cols // BLOCK
+        cols = b * BLOCK
+        # Draws in a full block gather it whole, through a view of the full
+        # blocks; draws in a ragged last block gather its cols % 64 entries.
+        whole = np.flatnonzero(b < full)
+        if whole.size:
+            body = self._values[:, : full * BLOCK].reshape(self.rows, full, BLOCK)
+            cols[whole] += _pick_in_block(body[rows[whole], b[whole]], u[whole])
+        ragged = np.flatnonzero(b == full)
+        if ragged.size:
+            seg = self._values[rows[ragged], full * BLOCK :]
+            cols[ragged] += _pick_in_block(seg, u[ragged])
+        return cols
 
     def sample_col_in_row(self, i: int, rng: np.random.Generator) -> int:
         return int(self.sample_cols_in_rows(np.array([i]), rng)[0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,37 @@ class TestDrawSamples:
         d = draw_samples(t, SketchConfig(k=2, p=30), np.random.default_rng(4))
         g = col_mixture_probs(x, d.row_idx)
         np.testing.assert_allclose(d.col_prob, g[d.col_idx], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (50, 150), (33, 1024)])
+    def test_column_probs_bitwise_formula(self, shape):
+        """col_prob is exactly mean_p X[i_p, j]^2 / rowNormSq(i_p), the
+        formula evaluated on the draw's own indices, bit for bit."""
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal(shape) * rng.lognormal(0.0, 1.0, (shape[0], 1))
+        x[x < -1.0] = 0.0
+        t = SegTreeMatrix(x)
+        d = draw_samples(t, SketchConfig(k=2, p=40), np.random.default_rng(28))
+        r, c = d.row_idx, d.col_idx
+        ns = t.row_norm_sq(r)
+        expected = (x[np.ix_(r, c)] ** 2 / ns[:, None]).mean(axis=0)
+        np.testing.assert_array_equal(d.col_prob, expected)
+        np.testing.assert_array_equal(d.row_prob, ns / t.fro_norm_sq())
+
+    def test_norm_draw_holds_one_core_block(self):
+        """A P=256 norm draw on a 2048 x 4096 store allocates about one
+        P x P block of floats at its peak: the gather its column law needs,
+        with no P x P temporary beside it."""
+        p = 256
+        t = SegTreeMatrix(np.random.default_rng(29).standard_normal((2048, 4096)))
+        cfg = SketchConfig(k=10, p=p)
+        tracemalloc.start()
+        try:
+            d = draw_samples(t, cfg, np.random.default_rng(30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.p == p
+        assert peak <= 1.5 * 8 * p * p, peak / (8 * p * p)
 
     def test_constant_matrix_strategies_agree(self):
         x = np.full((16, 16), -0.5)

@@ -27,6 +27,24 @@ def empirical(indices, size):
     return np.bincount(indices, minlength=size) / len(indices)
 
 
+def scalar_descent(nodes, leaves, u):
+    """One root-to-leaf walk over heap-ordered sums, a float at a time.
+
+    The documented rule: go right iff u >= leftSum and the right subtree
+    has mass. Returns the leaf and how often u >= leftSum was overruled by
+    an empty right subtree.
+    """
+    k, overruled = 1, 0
+    while k < leaves:
+        left, right = nodes[2 * k], nodes[2 * k + 1]
+        if u >= left and right > 0.0:
+            k, u = 2 * k + 1, u - left
+        else:
+            overruled += u >= left
+            k = 2 * k
+    return k - leaves, overruled
+
+
 class TestBuild:
     def test_hand_example(self):
         t = SegTreeMatrix(np.array([[3.0, 4.0], [0.0, 0.0]]))
@@ -209,6 +227,94 @@ class TestIndexValidation:
         np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
 
 
+class TestOverflow:
+    """Entries whose squares overflow are NonFinite errors: at set_rows and
+    update when the overflow is in their own sums, and at every read of the
+    sampling state when it is in a row total or the Frobenius total."""
+
+    BIG = 1e200  # finite, but its square is not
+
+    def snapshot(self, t):
+        return [a.copy() for a in (t.dense, t._blocks, t._root_nodes, t._stale, t._stale_rows)]
+
+    def assert_unchanged(self, t, before):
+        for a, b in zip(self.snapshot(t), before):
+            np.testing.assert_array_equal(a, b)
+
+    def reads(self, t):
+        rng = np.random.default_rng(0)
+        return (
+            t.fro_norm_sq,
+            lambda: t.row_norm_sq(0),
+            lambda: t.sample_rows(rng, 4),
+            lambda: t.sample_cols_in_rows(np.array([1]), rng),
+        )
+
+    def test_constructor_rejects_overflowing_squares(self):
+        for x in ([[self.BIG, 1.0]], [[1.0], [-self.BIG]], [[np.nan, 1.0]]):
+            with pytest.raises(NonFinite):
+                SegTreeMatrix(x)
+
+    def test_rejected_set_rows_changes_nothing(self):
+        rng = np.random.default_rng(36)
+        t = SegTreeMatrix(rng.standard_normal((6, 150)))
+        t.update(2, 70, 4.0)  # pending
+        before = self.snapshot(t)
+        # An entry square that overflows; NaN and Inf; two blocks with finite
+        # sums (1e308 each) whose row total overflows.
+        bad = [np.ones((2, 150)) for _ in range(4)]
+        bad[0][1, 140] = self.BIG
+        bad[1][0, 3] = np.nan
+        bad[2][1, 149] = -np.inf
+        bad[3][0, [0, 64]] = 1e154
+        for block in bad:
+            with pytest.raises(NonFinite):
+                t.set_rows(3, block)
+            self.assert_unchanged(t, before)
+        x = t.to_dense()
+        fresh = SegTreeMatrix(x)
+        assert t.fro_norm_sq() == fresh.fro_norm_sq()
+        np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
+
+    def test_update_rejects_overflowing_square(self):
+        t = SegTreeMatrix(np.ones((2, 3)))
+        before = self.snapshot(t)
+        for v in (self.BIG, -self.BIG, 1.5e154):
+            with pytest.raises(NonFinite):
+                t.update(0, 1, v)
+        self.assert_unchanged(t, before)
+        t.update(0, 1, 1e154)  # its square, 1e308, is finite
+        assert t.row_norm_sq(0) == 1e308
+
+    def test_reads_reject_an_overflowing_block_sum(self):
+        """Each update is accepted, but two squares of 1e308 in one block sum
+        to inf: every read raises, until an update brings the sum back."""
+        t = SegTreeMatrix(np.ones((3, 70)))
+        t.update(1, 0, 1e154)
+        t.update(1, 5, 1e154)
+        for read in self.reads(t):
+            with pytest.raises(NonFinite):
+                read()
+        t.update(1, 5, 2.0)
+        x = np.ones((3, 70))
+        x[1, 0], x[1, 5] = 1e154, 2.0
+        fresh = SegTreeMatrix(x)
+        assert t.fro_norm_sq() == fresh.fro_norm_sq()
+        np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
+        t.sample_rows(np.random.default_rng(1), 4)
+
+    def test_reads_reject_an_overflowing_total(self):
+        """Rows whose totals are finite but whose sum is not are accepted,
+        and every read of the sampling state then raises."""
+        t = SegTreeMatrix([[1e154, 0.0], [0.0, 1e154], [1.0, 1.0]])
+        assert t.get(0, 0) == 1e154
+        for read in self.reads(t):
+            with pytest.raises(NonFinite):
+                read()
+        t.set_rows(1, [[0.0, 1.0]])
+        assert t.fro_norm_sq() == 1e308
+
+
 class TestInterleaving:
     """Seeded runs of update, set_rows and reads; after every read the store
     equals a fresh build of the same entries, and draws the same samples."""
@@ -311,6 +417,33 @@ class TestRowSampling:
         rows = t.sample_rows(np.random.default_rng(5), 100_000)
         assert tv_distance(empirical(rows, 64), row_sampling_probs(x)) <= 0.02
 
+    @pytest.mark.parametrize("rows", [1, 5, 13, 100, 1000])
+    def test_matches_scalar_descent(self, rows):
+        """Seeded draws equal a scalar walk of the same root tree, zero rows
+        and a row count that is not a power of two included."""
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 3)) * rng.lognormal(0.0, 2.0, (rows, 1))
+        x[rng.random(rows) < 0.3] = 0.0
+        x[-1] = 1.0
+        t = SegTreeMatrix(x)
+        drawn = t.sample_rows(np.random.default_rng(31), 2000)
+        u = np.random.default_rng(31).random(2000) * t.fro_norm_sq()
+        expected = [scalar_descent(t._root_nodes, t._rpad, ui)[0] for ui in u]
+        np.testing.assert_array_equal(drawn, expected)
+        assert np.all(t.row_norm_sq(drawn) > 0.0)
+
+    def test_top_of_range_skips_zero_right_subtree(self):
+        """Rounding can leave u >= leftSum where the right subtree is empty.
+        The walk goes left there, onto the last row with mass, not onto the
+        zero row beside it. The squares of these entries are exact, and the
+        row sums round so that this happens at the node over rows 2 and 3."""
+        x = np.array([[2711424.0], [4.989662170410156], [4235572.0], [0.0]])
+        t = SegTreeMatrix(x)
+        u = np.nextafter(1.0, 0.0) * t.fro_norm_sq()
+        row, overruled = scalar_descent(t._root_nodes, t._rpad, u)
+        assert (row, overruled) == (2, 1)
+        np.testing.assert_array_equal(t.sample_rows(TopOfRange(), 3), [2, 2, 2])
+
     def test_scalar_matches_batch(self):
         t = SegTreeMatrix(np.random.default_rng(6).random((10, 4)) + 0.1)
         batch = t.sample_rows(np.random.default_rng(9), 1)
@@ -382,6 +515,28 @@ class TestColumnSampling:
         ]
         np.testing.assert_array_equal(cols, expected)
 
+    def test_mixed_full_and_ragged_batch_matches_oracle(self):
+        """One batch whose draws land in full blocks and in the ragged last
+        block equals the inverse CDF over each row's squared entries."""
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((40, 150))
+        x[x < -1.0] = 0.0
+        x[:, 64:128] = 0.0
+        # Rows whose mass sits mostly in the ragged block, the rest mostly
+        # in the first block.
+        x[::2, 128:] *= 30.0
+        t = SegTreeMatrix(x)
+        rows = np.repeat(np.arange(40), 50)
+        cols = t.sample_cols_in_rows(rows, np.random.default_rng(33))
+        assert np.any(cols < 64) and np.any(cols >= 128)
+        assert not np.any((cols >= 64) & (cols < 128))
+        u = np.random.default_rng(33).random(rows.size) * t.row_norm_sq(rows)
+        expected = [
+            np.searchsorted(np.cumsum(x[r] ** 2), ur, "right")
+            for r, ur in zip(rows, u)
+        ]
+        np.testing.assert_array_equal(cols, expected)
+
     def test_top_of_range_draws_last_entry_with_mass(self):
         """A uniform just below the row total, however the running sums
         round, lands on the row's last nonzero entry: never on a zero entry
@@ -447,6 +602,19 @@ class TestStoreSize:
         assert t.fro_norm_sq() > 0.0
         assert peak <= 1.05 * x.nbytes + 64 * rows, peak / x.nbytes
 
+    def test_row_draw_memory_per_draw(self):
+        """A row draw keeps its uniform, its node index, the two child sums
+        and two masks: about 34 bytes per draw, with no per-level copies."""
+        t = SegTreeMatrix(np.random.default_rng(34).standard_normal((2048, 64)))
+        n = 400_000
+        tracemalloc.start()
+        try:
+            rows = t.sample_rows(np.random.default_rng(35), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (n,)
+        assert peak <= 40 * n, peak / n
 
     def test_pending_updates_are_bounded_by_shape(self):
         """Updates with no read in between keep at most one flag per block
