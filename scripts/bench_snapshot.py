@@ -6,6 +6,9 @@ shape it times the store build, a P=256 row draw, 256 in-row column draws,
 a whole P=256 sketch draw (``draw_samples``) for the norm and the uniform
 strategy, 2000 entry updates followed by the read that refreshes them, and
 single updates each followed by a read (the mean per pair over 100 pairs).
+At the 2048 x 4096 shape it also times the sketch's core SVD
+(``svd_dense``) of a P x P core W, P in 50, 100 and 200, taken from one
+seeded norm draw per P.
 Every repeat of a draw layer draws fresh rows, as a workload does; the
 column draws get theirs from an untimed row draw. Each layer gives the
 median and the minimum over the repeats, taken after one untimed warm-up.
@@ -13,9 +16,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_7.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_8.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_7.json
+        --out BENCH_8.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -41,6 +44,10 @@ DRAWS = 256
 UPDATES = 2000
 PAIRS = 100
 REPEATS = 7
+# The core SVD runs at the stream-update shape only: its cost depends on P,
+# not on the store.
+CORE_SHAPE = (2048, 4096)
+CORE_P = (50, 100, 200)
 
 
 def machine() -> dict:
@@ -88,7 +95,8 @@ def timed(fn, repeats: int, fresh=None) -> dict:
 
 def measure(rows: int, cols: int, repeats: int) -> dict:
     import numpy as np
-    from sketchlearn.modfkv import SketchConfig, draw_samples
+    from sketchlearn.linalg import svd_dense
+    from sketchlearn.modfkv import SketchConfig, build_s, build_w, draw_samples
     from sketchlearn.segtree import SegTreeMatrix
 
     rng = np.random.default_rng([rows, cols])
@@ -103,6 +111,12 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
         cfg = SketchConfig(k=10, p=DRAWS, strategy=strategy)
         out.append((f"draw_samples_{strategy}",
                     timed(lambda: draw_samples(store, cfg, rng), repeats)))
+    if (rows, cols) == CORE_SHAPE:
+        for p in CORE_P:
+            d = draw_samples(store, SketchConfig(k=10, p=p),
+                             np.random.default_rng([rows, cols, p]))
+            w = build_w(build_s(store, d), d)
+            out.append((f"core_svd_p{p}", timed(lambda: svd_dense(w), repeats)))
     # The first read after the updates refreshes whatever they left pending.
     upd, refresh = [], []
     for rep in range(repeats + 1):
@@ -169,6 +183,7 @@ def main() -> None:
         "updates": UPDATES,
         "draws": DRAWS,
         "pairs": PAIRS,
+        "core_p": list(CORE_P),
         "shapes": shapes,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

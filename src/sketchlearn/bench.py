@@ -99,6 +99,17 @@ class ExperimentSpec:
             raise ValueError(f"unknown strategies {sorted(bad)}")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError(f"subsample must be >= 1, got {self.subsample}")
+        self.optimizer  # checks the optimizer fields
+
+    @property
+    def optimizer(self) -> elm.OptimizerConfig:
+        return elm.OptimizerConfig(
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+        )
 
 
 @dataclass
@@ -251,13 +262,8 @@ def _run_classification_point(
     rec.solve_s = time.perf_counter() - t0
 
     if rec.kind in OPTIMIZED_KINDS:
-        opt = elm.OptimizerConfig(
-            learning_rate=spec.learning_rate,
-            epochs=spec.epochs,
-            batch_size=spec.batch_size,
-        )
         fm = elm.optimize_features(
-            model, train, opt, _rng(_point_entropy(rec, _TAG_OPT))
+            model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
         )
         dr = elm.build_design(fm, train, with_tree=with_tree)
         rec.featurize_s += dr.featurize_s

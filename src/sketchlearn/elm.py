@@ -112,6 +112,10 @@ class OptimizerConfig:
     epochs: int = 50
     batch_size: int | None = None  # None = full batch
 
+    def __post_init__(self):
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 def init_features(d: int, m: int, rng: np.random.Generator) -> FeatureMap:
     """Draw a_i, b_i i.i.d. uniform on [0, 1]."""

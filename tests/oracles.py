@@ -16,7 +16,7 @@ def eig_sym_jacobi(s, tol: float = 1e-14, max_sweeps: int = 100):
     Classical cyclic sweeps annihilating a[p, q] with the rotation angle
     theta = 0.5 * atan2(2*a[p,q], a[q,q] - a[p,p]). Returns eigenvalues in
     nonincreasing order and the matching eigenvector columns. Deliberately
-    a different algorithm from the one-sided production SVD.
+    a different algorithm from the production SVD, which is LAPACK's.
     """
     a = np.array(s, dtype=np.float64)
     n = a.shape[0]
@@ -69,10 +69,6 @@ def tv_distance(empirical_counts, probs) -> float:
     counts = np.asarray(empirical_counts, dtype=np.float64)
     freq = counts / counts.sum()
     return 0.5 * np.abs(freq - np.asarray(probs, dtype=np.float64)).sum()
-
-
-def bincount_of(samples, size: int):
-    return np.bincount(np.asarray(samples), minlength=size)
 
 
 def central_diff_grad(func, x, h: float = 1e-6):

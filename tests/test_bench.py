@@ -50,6 +50,10 @@ class TestSpecValidation:
             dict(kind="compare-sampling", m=()),
             dict(kind="compare-sampling", strategies=("norm", "leverage")),
             dict(kind="compare-sampling", seeds=(-1,)),
+            dict(kind="compare-sampling", subsample=0),
+            dict(kind="compare-sampling", subsample=-5),
+            dict(kind="optimized-compare", batch_size=0),
+            dict(kind="optimized-compare", batch_size=-3),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -359,6 +363,16 @@ class TestCli:
     def test_missing_kind_exits_2(self, capsys):
         assert main(["--dataset", "synthetic"]) == 2
         assert "kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--batch-size", "0"), ("--batch-size", "-3"), ("--subsample", "-5")],
+    )
+    def test_out_of_range_flag_exits_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert self.run_main(*flags, out=out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -43,7 +43,7 @@ def toy_dataset(rng, d=3, count=10, n_classes=3):
 
 
 def exact_pinv(design):
-    res = svd_dense(design, method="jacobi")
+    res = svd_dense(design)
     return truncated_pinv(res, min(design.shape), rcond=1e-12)
 
 
@@ -331,6 +331,13 @@ class TestOptimizeFeatures:
         )
         np.testing.assert_array_equal(out.a, fm.a)
         np.testing.assert_array_equal(out.b, fm.b)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        # range(0, d, batch) would fail for 0 and silently skip every
+        # step for a negative size.
+        with pytest.raises(ValueError, match="batch_size"):
+            OptimizerConfig(batch_size=batch_size)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(29)

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from sketchlearn import linalg
 from sketchlearn.errors import (
     AllSingularValuesFiltered,
     DimensionMismatch,
@@ -38,13 +37,13 @@ class TestOracleSelfCheck:
 
 class TestSvdDense:
     def test_identity(self):
-        res = svd_dense(np.eye(3), method="jacobi")
+        res = svd_dense(np.eye(3))
         np.testing.assert_allclose(res.sigma, np.ones(3))
         np.testing.assert_allclose(np.abs(res.u), np.eye(3), atol=1e-12)
         np.testing.assert_allclose(np.abs(res.v), np.eye(3), atol=1e-12)
 
     def test_diagonal_sorted(self):
-        res = svd_dense(np.diag([3.0, 4.0]), method="jacobi")
+        res = svd_dense(np.diag([3.0, 4.0]))
         np.testing.assert_allclose(res.sigma, [4.0, 3.0])
         # axis-aligned singular vectors, permuted to match the sort
         np.testing.assert_allclose(np.abs(res.u), [[0, 1], [1, 0]], atol=1e-12)
@@ -53,7 +52,7 @@ class TestSvdDense:
     def test_sigma_matches_gram_eigen_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((8, 5))
-        res = svd_dense(a, method="jacobi")
+        res = svd_dense(a)
         np.testing.assert_allclose(
             res.sigma, singular_values_via_gram(a), rtol=1e-8
         )
@@ -62,7 +61,7 @@ class TestSvdDense:
     def test_reconstruction_and_orthonormality(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         a = rng.standard_normal(shape)
-        res = svd_dense(a, method="jacobi")
+        res = svd_dense(a)
         r = min(shape)
         assert res.u.shape == (shape[0], r)
         assert res.v.shape == (shape[1], r)
@@ -76,18 +75,18 @@ class TestSvdDense:
     def test_rank_deficient_keeps_orthonormal_basis(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 6))
-        res = svd_dense(a, method="jacobi")
+        res = svd_dense(a)
         np.testing.assert_allclose(res.u.T @ res.u, np.eye(6), atol=1e-8)
         np.testing.assert_allclose(res.v.T @ res.v, np.eye(6), atol=1e-8)
         rec = res.u @ np.diag(res.sigma) @ res.v.T
         assert np.linalg.norm(rec - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_large_rank_deficient_collapses_many_columns(self):
-        # Rank 3 out of 60: most columns must be rotated down to zero norm,
-        # which exercises the cancellation-prone tail of the sweep.
+        # Rank 3 out of 60: 57 singular values must come out at roundoff
+        # level while U keeps all 60 columns orthonormal.
         rng = np.random.default_rng(17)
         a = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 60))
-        res = svd_dense(a, method="jacobi")
+        res = svd_dense(a)
         assert np.all(res.sigma >= 0)
         assert np.all(res.sigma[3:] <= 1e-8 * res.sigma[0])
         np.testing.assert_allclose(res.u.T @ res.u, np.eye(60), atol=1e-8)
@@ -97,47 +96,41 @@ class TestSvdDense:
     @pytest.mark.parametrize("seed", range(4))
     def test_sketch_like_core_converges(self, seed):
         # A rank-5 core whose rows and columns are drawn with replacement,
-        # as in a norm-sampled sketch: its 45 roundoff-level columns must be
-        # left alone once negligible, not rotated until they underflow.
-        # Underflow is reported as a warning, so either that stall or the
-        # non-convergence warning fails the test without timing it.
+        # as in a norm-sampled sketch, with 45 roundoff-level singular
+        # values. Warnings are errors and underflow warns, so an SVD that
+        # underflows or warns on such a core fails the test.
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((50, 5)) @ rng.standard_normal((5, 50))
         a = base[rng.integers(0, 50, 50)][:, rng.integers(0, 50, 50)]
         with warnings.catch_warnings(), np.errstate(under="warn"):
             warnings.simplefilter("error")
-            res = svd_dense(a, method="jacobi")
+            res = svd_dense(a)
         np.testing.assert_allclose(res.u.T @ res.u, np.eye(50), atol=1e-8)
         np.testing.assert_allclose(res.v.T @ res.v, np.eye(50), atol=1e-8)
         assert np.all(res.sigma[5:] <= 1e-8 * res.sigma[0])
         rec = res.u @ np.diag(res.sigma) @ res.v.T
         assert np.linalg.norm(rec - a) <= 1e-8 * np.linalg.norm(a)
 
-    def test_unconverged_sweeps_warn(self, monkeypatch):
-        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-        a = np.random.default_rng(11).standard_normal((10, 7))
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            svd_dense(a, method="jacobi")
-
     def test_zero_matrix(self):
-        res = svd_dense(np.zeros((4, 3)), method="jacobi")
+        res = svd_dense(np.zeros((4, 3)))
         np.testing.assert_allclose(res.sigma, np.zeros(3))
         np.testing.assert_allclose(res.u.T @ res.u, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(res.v.T @ res.v, np.eye(3), atol=1e-12)
 
     def test_deterministic(self):
         a = np.random.default_rng(0).standard_normal((6, 4))
-        r1 = svd_dense(a, method="jacobi")
-        r2 = svd_dense(a, method="jacobi")
+        r1 = svd_dense(a)
+        r2 = svd_dense(a)
         assert np.array_equal(r1.sigma, r2.sigma)
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.v, r2.v)
 
     def test_lapack_and_jacobi_agree(self):
+        # LAPACK's singular values against the two-sided Jacobi oracle.
         a = np.random.default_rng(11).standard_normal((10, 7))
-        sj = svd_dense(a, method="jacobi").sigma
-        sl = svd_dense(a, method="lapack").sigma
-        np.testing.assert_allclose(sj, sl, rtol=1e-10, atol=1e-12)
+        sl = svd_dense(a).sigma
+        sj = singular_values_via_gram(a)
+        np.testing.assert_allclose(sl, sj, rtol=1e-10, atol=1e-12)
 
     def test_default_handles_large_matrix(self):
         a = np.random.default_rng(1).standard_normal((200, 150))
@@ -147,12 +140,11 @@ class TestSvdDense:
 
     def test_default_is_lapack(self):
         a = np.random.default_rng(19).standard_normal((50, 50))
-        res, ref = svd_dense(a), svd_dense(a, method="lapack")
-        assert np.array_equal(res.sigma, ref.sigma)
-        assert np.array_equal(res.u, ref.u)
-        assert np.array_equal(res.v, ref.v)
-        with pytest.raises(ValueError):
-            svd_dense(a, method="auto")
+        res = svd_dense(a)
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        assert np.array_equal(res.sigma, sigma)
+        assert np.array_equal(res.u, u)
+        assert np.array_equal(res.v, vt.T)
 
     def test_errors(self):
         with pytest.raises(EmptyMatrix):
@@ -161,13 +153,11 @@ class TestSvdDense:
             svd_dense(np.array([[1.0, np.nan]]))
         with pytest.raises(DimensionMismatch):
             svd_dense(np.zeros(4))
-        with pytest.raises(ValueError):
-            svd_dense(np.eye(2), method="qr")
 
 
 class TestTruncatedPinv:
     def test_identity_rank2(self):
-        f = truncated_pinv(svd_dense(np.eye(3), method="jacobi"), 2)
+        f = truncated_pinv(svd_dense(np.eye(3)), 2)
         assert f.k == 2
         np.testing.assert_allclose(f.sigma, [1.0, 1.0])
         assert not f.reduced
@@ -185,7 +175,7 @@ class TestTruncatedPinv:
 
     def test_roles_swap(self):
         a = np.random.default_rng(5).standard_normal((6, 4))
-        f = truncated_pinv(svd_dense(a, method="jacobi"), 4)
+        f = truncated_pinv(svd_dense(a), 4)
         assert f.u.shape == (4, 4)  # maps codomain R^6 back to domain R^4
         assert f.v.shape == (6, 4)
 
@@ -195,7 +185,7 @@ class TestTruncatedPinv:
         qu, _ = np.linalg.qr(rng.standard_normal((6, 4)))
         qv, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         a = (qu * np.array([3.0, 2.0, 1.5, 1.0])) @ qv.T
-        f = truncated_pinv(svd_dense(a, method="jacobi"), 4)
+        f = truncated_pinv(svd_dense(a), 4)
         for _ in range(5):
             y = rng.standard_normal(6)
             np.testing.assert_allclose(
@@ -206,16 +196,16 @@ class TestTruncatedPinv:
     def test_moore_penrose_identity(self, shape):
         rng = np.random.default_rng(sum(shape))
         a = rng.standard_normal(shape)
-        f = truncated_pinv(svd_dense(a, method="jacobi"), min(shape), rcond=0.0)
+        f = truncated_pinv(svd_dense(a), min(shape), rcond=0.0)
         pinv = materialize(f)
         assert np.linalg.norm(a @ pinv @ a - a) <= 1e-6 * np.linalg.norm(a)
 
     def test_all_filtered(self):
         with pytest.raises(AllSingularValuesFiltered):
-            truncated_pinv(svd_dense(np.zeros((3, 3)), method="jacobi"), 2)
+            truncated_pinv(svd_dense(np.zeros((3, 3))), 2)
 
     def test_validation(self):
-        res = svd_dense(np.eye(2), method="jacobi")
+        res = svd_dense(np.eye(2))
         with pytest.raises(ValueError):
             truncated_pinv(res, 0)
         with pytest.raises(ValueError):
@@ -224,7 +214,7 @@ class TestTruncatedPinv:
 
 class TestApplyFactors:
     def test_identity_factors(self):
-        f = truncated_pinv(svd_dense(np.eye(4), method="jacobi"), 4)
+        f = truncated_pinv(svd_dense(np.eye(4)), 4)
         y = np.arange(4.0)
         np.testing.assert_allclose(apply_factors(f, y), y, atol=1e-12)
 
@@ -262,7 +252,7 @@ class TestApplyFactors:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        f = truncated_pinv(svd_dense(np.eye(3), method="jacobi"), 2)
+        f = truncated_pinv(svd_dense(np.eye(3)), 2)
         with pytest.raises(DimensionMismatch):
             apply_factors(f, np.zeros(5))
 
