@@ -6,9 +6,11 @@ shape it times the store build, a P=256 row draw, 256 in-row column draws,
 a whole P=256 sketch draw (``draw_samples``) for the norm and the uniform
 strategy, 2000 entry updates followed by the read that refreshes them, and
 single updates each followed by a read (the mean per pair over 100 pairs).
-At the 2048 x 4096 shape it also times the sketch's core SVD
-(``svd_dense``) of a P x P core W, P in 50, 100 and 200, taken from one
-seeded norm draw per P.
+At the 2048 x 4096 shape it also times, for P in 50, 100 and 200 and on
+one seeded norm draw per P, the rest of the sketch stage by stage: the row
+sketch S (``build_s``), the P x P core W read off it (``build_w``), W's
+SVD (``svd_dense``), the lift of its top 10 triplets (``reconstruct``) and
+the rank-10 pseudo-inverse of the lifted factors (``truncated_pinv``).
 Every repeat of a draw layer draws fresh rows, as a workload does; the
 column draws get theirs from an untimed row draw. Each layer gives the
 median and the minimum over the repeats, taken after one untimed warm-up.
@@ -16,9 +18,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_8.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_9.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_8.json
+        --out BENCH_9.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -44,10 +46,10 @@ DRAWS = 256
 UPDATES = 2000
 PAIRS = 100
 REPEATS = 7
-# The core SVD runs at the stream-update shape only: its cost depends on P,
-# not on the store.
+# The sketch stages after the draw run at the stream-update shape only.
 CORE_SHAPE = (2048, 4096)
 CORE_P = (50, 100, 200)
+LIFT_K = 10
 
 
 def machine() -> dict:
@@ -95,8 +97,10 @@ def timed(fn, repeats: int, fresh=None) -> dict:
 
 def measure(rows: int, cols: int, repeats: int) -> dict:
     import numpy as np
-    from sketchlearn.linalg import svd_dense
-    from sketchlearn.modfkv import SketchConfig, build_s, build_w, draw_samples
+    from sketchlearn.linalg import svd_dense, truncated_pinv
+    from sketchlearn.modfkv import (
+        SketchConfig, build_s, build_w, draw_samples, reconstruct,
+    )
     from sketchlearn.segtree import SegTreeMatrix
 
     rng = np.random.default_rng([rows, cols])
@@ -113,10 +117,19 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
                     timed(lambda: draw_samples(store, cfg, rng), repeats)))
     if (rows, cols) == CORE_SHAPE:
         for p in CORE_P:
-            d = draw_samples(store, SketchConfig(k=10, p=p),
+            d = draw_samples(store, SketchConfig(k=LIFT_K, p=p),
                              np.random.default_rng([rows, cols, p]))
-            w = build_w(build_s(store, d), d)
+            s = build_s(store, d)
+            w = build_w(s, d)
+            w_svd = svd_dense(w)
+            lifted = reconstruct(store, s, w_svd, LIFT_K)
             out.append((f"core_svd_p{p}", timed(lambda: svd_dense(w), repeats)))
+            out.append((f"build_s_p{p}", timed(lambda: build_s(store, d), repeats)))
+            out.append((f"build_w_p{p}", timed(lambda: build_w(s, d), repeats)))
+            out.append((f"lift_p{p}",
+                        timed(lambda: reconstruct(store, s, w_svd, LIFT_K), repeats)))
+            out.append((f"pinv_p{p}",
+                        timed(lambda: truncated_pinv(lifted, LIFT_K), repeats)))
     # The first read after the updates refreshes whatever they left pending.
     upd, refresh = [], []
     for rep in range(repeats + 1):
@@ -184,6 +197,7 @@ def main() -> None:
         "draws": DRAWS,
         "pairs": PAIRS,
         "core_p": list(CORE_P),
+        "lift_k": LIFT_K,
         "shapes": shapes,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

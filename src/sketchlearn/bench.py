@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datasets as dsets
 from . import elm
-from .linalg import svd_dense, truncated_pinv
+from .linalg import LowRankFactors, svd_dense, truncated_pinv, usable_rank
 from .modfkv import SketchConfig, draw_samples, modfkv
 from .segtree import SegTreeMatrix
 
@@ -54,6 +54,8 @@ CSV_COLUMNS = (
     "solve_s",
     "total_s",
 )
+# Record fields behind the CSV columns whose names differ from them.
+_CSV_FIELDS = {"M": "m", "K": "k", "P": "p", "treeBuild_s": "tree_build_s"}
 
 # Stream tags keeping the per-point substreams (features, sketch,
 # optimizer, re-sketch, data subsampling) statistically independent.
@@ -191,32 +193,29 @@ def _run_matrix_point(spec: ExperimentSpec, rec: RunRecord) -> None:
         rec.tree_build_s = 0.0
         t0 = time.perf_counter()
         svd = svd_dense(x)
-        factors = truncated_pinv(svd, rec.k)
+        kk = min(rec.k, usable_rank(svd))
         rec.factorize_s = time.perf_counter() - t0
         # Reconstruction error of the rank-k truncation itself.
-        kk = factors.k
-        approx = (svd.u[:, :kk] * svd.sigma[:kk]) @ svd.v[:, :kk].T
-        rec.accuracy = float(np.linalg.norm(approx - x) / np.linalg.norm(x))
+        factors = LowRankFactors(u=svd.u[:, :kk], sigma=svd.sigma[:kk], v=svd.v[:, :kk])
     else:
         t0 = time.perf_counter()
         source = SegTreeMatrix(x) if rec.strategy == "norm" else x
         rec.tree_build_s = time.perf_counter() - t0
-        cfg = SketchConfig(
-            k=rec.k,
-            p=rec.p,
-            strategy=rec.strategy,
-            seed=_seed_int(_point_entropy(rec, _TAG_SKETCH)),
-        )
         t0 = time.perf_counter()
-        factors = modfkv(source, cfg)
+        factors = modfkv(source, _sketch_config(rec, _TAG_SKETCH))
         rec.factorize_s = time.perf_counter() - t0
-        rec.accuracy = _factor_error(x, factors)
+    rec.accuracy = _factor_error(x, factors)
     rec.solve_s = 0.0
     rec.total_s = time.perf_counter() - t_all
 
 
 def _point_entropy(rec: RunRecord, tag: int) -> list:
     return [rec.seed, rec.m, rec.k, rec.p, _STRAT_CODE[rec.strategy], tag]
+
+
+def _sketch_config(rec: RunRecord, tag: int) -> SketchConfig:
+    seed = _seed_int(_point_entropy(rec, tag))
+    return SketchConfig(k=rec.k, p=rec.p, strategy=rec.strategy, seed=seed)
 
 
 def _factorize(design_result, rec: RunRecord, cfg_seed_tag: int):
@@ -229,12 +228,7 @@ def _factorize(design_result, rec: RunRecord, cfg_seed_tag: int):
     if rec.strategy == "exact":
         pinv = truncated_pinv(svd_dense(design_result.design), rec.k)
         return pinv, None, time.perf_counter() - t0
-    cfg = SketchConfig(
-        k=rec.k,
-        p=rec.p,
-        strategy=rec.strategy,
-        seed=_seed_int(_point_entropy(rec, cfg_seed_tag)),
-    )
+    cfg = _sketch_config(rec, cfg_seed_tag)
     source = design_result.tree if rec.strategy == "norm" else design_result.design
     pinv = truncated_pinv(modfkv(source, cfg), rec.k)
     elapsed = time.perf_counter() - t0
@@ -247,32 +241,30 @@ def _factorize(design_result, rec: RunRecord, cfg_seed_tag: int):
 def _run_classification_point(
     spec: ExperimentSpec, rec: RunRecord, train: elm.Dataset, test: elm.Dataset
 ) -> None:
+    """Design, factorize and solve; the optimized kinds then optimize the
+    features and run a second, re-sketched pass. Stage times add up over the
+    passes, and a stage that no pass reached keeps its ``None``."""
     n_classes = max(elm.infer_classes(train), elm.infer_classes(test))
     with_tree = rec.strategy == "norm"
+    passes = (_TAG_SKETCH,)
+    if rec.kind in OPTIMIZED_KINDS:
+        passes = (_TAG_SKETCH, _TAG_RESKETCH)
     t_all = time.perf_counter()
 
     fm = elm.init_features(train.dim, rec.m, _rng([rec.seed, rec.m, _TAG_FEAT]))
-    dr = elm.build_design(fm, train, with_tree=with_tree)
-    rec.featurize_s = dr.featurize_s
-    rec.tree_build_s = dr.tree_build_s
-
-    pinv, draw, rec.factorize_s = _factorize(dr, rec, _TAG_SKETCH)
-    t0 = time.perf_counter()
-    model = elm.train(fm, train, pinv, n_classes)
-    rec.solve_s = time.perf_counter() - t0
-
-    if rec.kind in OPTIMIZED_KINDS:
-        fm = elm.optimize_features(
-            model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
-        )
+    for tag in passes:
+        if tag == _TAG_RESKETCH:
+            fm = elm.optimize_features(
+                model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
+            )
         dr = elm.build_design(fm, train, with_tree=with_tree)
-        rec.featurize_s += dr.featurize_s
-        rec.tree_build_s += dr.tree_build_s
-        pinv, draw, refactor_s = _factorize(dr, rec, _TAG_RESKETCH)
-        rec.factorize_s += refactor_s
+        rec.featurize_s = (rec.featurize_s or 0.0) + dr.featurize_s
+        rec.tree_build_s = (rec.tree_build_s or 0.0) + dr.tree_build_s
+        pinv, draw, factorize_s = _factorize(dr, rec, tag)
+        rec.factorize_s = (rec.factorize_s or 0.0) + factorize_s
         t0 = time.perf_counter()
         model = elm.train(fm, train, pinv, n_classes)
-        rec.solve_s += time.perf_counter() - t0
+        rec.solve_s = (rec.solve_s or 0.0) + (time.perf_counter() - t0)
 
     if rec.kind == "sampled-norms" and draw is not None:
         norms = np.linalg.norm(dr.design[:, draw.col_idx], axis=0)
@@ -353,21 +345,8 @@ def emit_report(report: RunReport, fmt: str, path) -> None:
             writer.writerow(CSV_COLUMNS)
             for r in report.records:
                 writer.writerow(
-                    [
-                        r.kind,
-                        r.dataset,
-                        r.m,
-                        r.k,
-                        r.p,
-                        r.strategy,
-                        r.seed,
-                        _csv_cell(r.accuracy),
-                        _csv_cell(r.featurize_s),
-                        _csv_cell(r.tree_build_s),
-                        _csv_cell(r.factorize_s),
-                        _csv_cell(r.solve_s),
-                        _csv_cell(r.total_s),
-                    ]
+                    _csv_cell(getattr(r, _CSV_FIELDS.get(col, col)))
+                    for col in CSV_COLUMNS
                 )
         else:
             json.dump([asdict(r) for r in report.records], out, indent=2)

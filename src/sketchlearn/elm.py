@@ -29,7 +29,9 @@ from .linalg import LowRankFactors, apply_factors
 from .segtree import SegTreeMatrix
 
 MODEL_MAGIC = b"ELM1"
+# Rows featurized per block by build_design and predict_batch.
 DEFAULT_BLOCK = 512
+PREDICT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,13 @@ def init_features(d: int, m: int, rng: np.random.Generator) -> FeatureMap:
     return FeatureMap(a=rng.random((m, d)), b=rng.random(m))
 
 
+def _features(a, b, xs, out=None) -> np.ndarray:
+    """relu(xs @ a.T + b), one feature row per input row, in ``out`` if given."""
+    z = np.matmul(xs, a.T, out=out)
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
 def featurize(fm: FeatureMap, x) -> np.ndarray:
     """phi(x) with phi_i = max(0, a_i . x + b_i)."""
     x = np.asarray(x, dtype=np.float64)
@@ -131,7 +140,7 @@ def featurize(fm: FeatureMap, x) -> np.ndarray:
         raise DimensionMismatch(
             f"input of length {fm.input_dim} required, got shape {x.shape}"
         )
-    return np.maximum(fm.a @ x + fm.b, 0.0)
+    return _features(fm.a, fm.b, x[None, :])[0]
 
 
 def featurize_batch(
@@ -143,9 +152,7 @@ def featurize_batch(
         raise DimensionMismatch(
             f"batch of width {fm.input_dim} required, got shape {xs.shape}"
         )
-    z = np.matmul(xs, fm.a.T, out=out)
-    z += fm.b
-    return np.maximum(z, 0.0, out=z)
+    return _features(fm.a, fm.b, xs, out=out)
 
 
 @dataclass(frozen=True)
@@ -163,24 +170,20 @@ class DesignResult:
     tree_build_s: float
 
 
-def build_design(
-    fm: FeatureMap,
-    ds: Dataset,
-    with_tree: bool = True,
-    block: int = DEFAULT_BLOCK,
-) -> DesignResult:
+def build_design(fm: FeatureMap, ds: Dataset, with_tree: bool = True) -> DesignResult:
     """Featurize the dataset in one streaming pass.
 
-    Feature rows are produced block by block and fed straight into the
-    segment tree; the dense matrix is never rescanned to build the tree.
+    Feature rows are produced ``DEFAULT_BLOCK`` at a time and fed straight
+    into the segment tree; the dense matrix is never rescanned to build the
+    tree.
     """
     d = ds.count
     tree = SegTreeMatrix.zeros(d, fm.m) if with_tree else None
     design = tree.dense if with_tree else np.empty((d, fm.m))
     feat_s = 0.0
     tree_s = 0.0
-    for start in range(0, d, block):
-        stop = min(start + block, d)
+    for start in range(0, d, DEFAULT_BLOCK):
+        stop = min(start + DEFAULT_BLOCK, d)
         t0 = time.perf_counter()
         # Without a tree the rows are computed in place in the design.
         out = None if with_tree else design[start:stop]
@@ -230,11 +233,11 @@ def predict(model: ElmModel, x) -> int:
     return int(np.argmax(scores(model, x)))
 
 
-def predict_batch(model: ElmModel, xs, block: int = 2048) -> np.ndarray:
+def predict_batch(model: ElmModel, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(xs.shape[0], dtype=np.int64)
-    for start in range(0, xs.shape[0], block):
-        stop = min(start + block, xs.shape[0])
+    for start in range(0, xs.shape[0], PREDICT_BLOCK):
+        stop = min(start + PREDICT_BLOCK, xs.shape[0])
         phi = featurize_batch(model.features, xs[start:stop])
         out[start:stop] = np.argmax(phi @ model.w, axis=1)
     return out
@@ -254,12 +257,12 @@ def squared_loss(model: ElmModel, ds: Dataset) -> float:
 
 
 def _loss_and_grads(a, b, w, xs, y):
-    z = xs @ a.T + b
-    phi = np.maximum(z, 0.0)
+    phi = _features(a, b, xs)
     r = y - phi @ w
     loss = float((r * r).sum())
-    # dLoss/dz; the relu subgradient at exactly 0 is taken as 0.
-    g = -2.0 * (r @ w.T) * (z > 0.0)
+    # dLoss/dz; the relu subgradient at exactly 0 is taken as 0, and
+    # phi > 0 exactly where the preactivation is.
+    g = -2.0 * (r @ w.T) * (phi > 0.0)
     return loss, g.T @ xs, g.sum(axis=0)
 
 
@@ -285,21 +288,26 @@ def optimize_features(
     lr = opt.learning_rate
 
     def full_loss():
-        r = y - np.maximum(xs @ a.T + b, 0.0) @ w
+        r = y - _features(a, b, xs) @ w
         return float((r * r).sum())
 
     loss0 = full_loss()
     best_loss, best_a, best_b = loss0, a.copy(), b.copy()
+
+    def check_and_keep(loss, epoch):
+        nonlocal best_loss, best_a, best_b
+        if loss > 10.0 * loss0 and loss0 > 0.0:
+            raise Diverged(
+                f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
+                f"at epoch {epoch}"
+            )
+        if loss < best_loss:
+            best_loss, best_a, best_b = loss, a.copy(), b.copy()
+
     for epoch in range(opt.epochs):
         if batch == d:
             loss, ga, gb = _loss_and_grads(a, b, w, xs, y)
-            if loss > 10.0 * loss0 and loss0 > 0.0:
-                raise Diverged(
-                    f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
-                    f"at epoch {epoch}"
-                )
-            if loss < best_loss:
-                best_loss, best_a, best_b = loss, a.copy(), b.copy()
+            check_and_keep(loss, epoch)
             a -= lr * ga
             b -= lr * gb
         else:
@@ -309,14 +317,7 @@ def optimize_features(
                 _, ga, gb = _loss_and_grads(a, b, w, xs[sel], y[sel])
                 a -= lr * ga
                 b -= lr * gb
-            loss = full_loss()
-            if loss > 10.0 * loss0 and loss0 > 0.0:
-                raise Diverged(
-                    f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
-                    f"at epoch {epoch}"
-                )
-            if loss < best_loss:
-                best_loss, best_a, best_b = loss, a.copy(), b.copy()
+            check_and_keep(full_loss(), epoch)
     final = full_loss()
     if final < best_loss:
         best_a, best_b = a, b

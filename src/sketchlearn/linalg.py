@@ -4,7 +4,9 @@ Matrices are plain 2-D float64 ``numpy.ndarray`` in row-major order. One
 SVD path serves every input, the sketch's small core as well as the exact
 baseline: LAPACK through ``numpy.linalg.svd``. Every factorization here, an
 economy SVD, a sketch or a pseudo-inverse, is one type,
-:class:`LowRankFactors`.
+:class:`LowRankFactors`. One rank floor serves the sketch and the solve:
+:func:`usable_rank` counts the singular values above ``DEFAULT_RCOND``
+times the largest, and :func:`truncated_pinv` keeps no more than those.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class LowRankFactors:
     is n x r with orthonormal columns, r = min(m, n), and ``sigma`` is
     nonincreasing and nonnegative. Truncated and sketch-produced factors
     keep only strictly positive ``sigma``; sketch factors are only
-    approximately orthonormal. ``reduced`` marks that an rcond floor
+    approximately orthonormal. ``reduced`` marks that the rcond floor
     dropped singular values below the requested rank.
     """
 
@@ -76,28 +78,27 @@ def svd_dense(a) -> LowRankFactors:
     return LowRankFactors(u=u, sigma=sigma, v=vt.T.copy())
 
 
-def truncated_pinv(
-    f: LowRankFactors, k: int, rcond: float = DEFAULT_RCOND
-) -> LowRankFactors:
+def usable_rank(f: LowRankFactors) -> int:
+    """Count of singular values above ``DEFAULT_RCOND`` times the largest."""
+    top = f.sigma.max() if f.sigma.size else 0.0
+    return int(np.count_nonzero(f.sigma > DEFAULT_RCOND * top))
+
+
+def truncated_pinv(f: LowRankFactors, k: int) -> LowRankFactors:
     """Factors of the rank-``k`` truncated pseudo-inverse.
 
-    Keeps the top ``k' = min(k, #{sigma_i > rcond * max sigma})`` triplets
-    and returns factors representing ``sum_i (1/sigma_i) v_i u_i^T``; the
-    roles of U and V swap so the result maps the codomain back to the
-    domain. Raises :class:`AllSingularValuesFiltered` when nothing survives
-    the floor.
+    Keeps the top ``k' = min(k, usable_rank(f))`` triplets and returns
+    factors representing ``sum_i (1/sigma_i) v_i u_i^T``; the roles of U
+    and V swap so the result maps the codomain back to the domain. Raises
+    :class:`AllSingularValuesFiltered` when nothing survives the floor.
     """
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
-    if not 0.0 <= rcond < 1.0:
-        raise ValueError(f"rcond must lie in [0, 1), got {rcond}")
     u, sigma, v = f.u, f.sigma, f.v
-    cutoff = rcond * sigma.max() if sigma.size else 0.0
-    usable = int(np.count_nonzero(sigma > cutoff))
-    kept = min(k, usable)
+    kept = min(k, usable_rank(f))
     if kept == 0:
         raise AllSingularValuesFiltered(
-            f"no singular values above rcond={rcond} floor"
+            f"no singular values above rcond={DEFAULT_RCOND} floor"
         )
     return LowRankFactors(
         sigma=1.0 / sigma[:kept],

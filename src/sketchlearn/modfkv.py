@@ -24,8 +24,9 @@ re-orthonormalized before the final factors are formed (see
 :func:`reconstruct`), which removes the basis skew that otherwise floors
 the reconstruction error at O(1/sqrt(P)). The uniform strategy substitutes
 the flat laws f = 1/m, g = 1/n into the same estimator, which keeps the
-rescaling structure and needs no tree. Singular values at or below
-``DEFAULT_RCOND`` times the largest count as unusable.
+rescaling structure and needs no tree. The core's usable rank is
+:func:`~sketchlearn.linalg.usable_rank`, the rank floor the solve's
+pseudo-inverse uses too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     ZeroMatrix,
     ZeroProbability,
 )
-from .linalg import DEFAULT_RCOND, LowRankFactors, svd_dense
+from .linalg import LowRankFactors, svd_dense, usable_rank
 from .segtree import SegTreeMatrix
 
 NORM_WEIGHTED = "norm"
@@ -175,12 +176,12 @@ def reconstruct(
     orthonormalized (QR, deterministic signs) and sigma_i, u_i recomputed
     as the norm and direction of X v_i.
 
-    Requires ``k`` singular values above ``DEFAULT_RCOND * max``; use
+    Requires ``k`` usable singular values (:func:`usable_rank`); use
     :func:`modfkv` for the warn-and-reduce behavior.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    usable = usable_rank(w_svd, DEFAULT_RCOND)
+    usable = usable_rank(w_svd)
     if usable < k:
         raise RankDeficientSketch(
             f"sketch has {usable} usable singular values, need {k}"
@@ -203,12 +204,6 @@ def reconstruct(
     return LowRankFactors(sigma=sigma, u=u, v=v, reduced=reduced)
 
 
-def usable_rank(w_svd: LowRankFactors, rcond: float) -> int:
-    """Count of singular values above the relative floor."""
-    top = w_svd.sigma[0] if w_svd.sigma.size else 0.0
-    return int(np.count_nonzero(w_svd.sigma > rcond * top))
-
-
 def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
     """Full sampled SVD: draw samples, gather S, read W off it, decompose, lift.
 
@@ -224,7 +219,7 @@ def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
     d = draw_samples(t, cfg, rng)
     s = build_s(t, d)
     w_svd = svd_dense(build_w(s, d))
-    usable = usable_rank(w_svd, DEFAULT_RCOND)
+    usable = usable_rank(w_svd)
     if usable == 0:
         raise RankDeficientSketch("core matrix has no usable singular values")
     k = cfg.k

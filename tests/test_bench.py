@@ -125,6 +125,34 @@ class TestRunExperiment:
         assert "ValueError" in by_strategy["norm"].error
         assert by_strategy["norm"].accuracy is None
 
+    def test_failing_sketch_keeps_the_stages_it_reached(self):
+        # The sketch config rejects k > p after the design is built, so the
+        # design's two timings are set and every later field stays None.
+        spec = tiny_spec(k=(8,), p=(4,), strategies=("norm", "uniform"), seeds=(0,))
+        for rec in run_experiment(spec).records:
+            assert "ValueError" in rec.error
+            assert rec.featurize_s is not None and rec.tree_build_s is not None
+            assert rec.factorize_s is None and rec.solve_s is None
+            assert rec.total_s is None and rec.accuracy is None
+
+    def test_diverged_second_pass_keeps_first_pass_timings(self):
+        spec = ExperimentSpec(
+            kind="optimized-compare",
+            m=(30,),
+            k=(4,),
+            p=(12,),
+            strategies=("norm", "uniform"),
+            seeds=(0,),
+            subsample=150,
+            epochs=2,
+            learning_rate=1.0,
+        )
+        for rec in run_experiment(spec).records:
+            assert rec.error.startswith("Diverged")
+            for name in ("featurize_s", "tree_build_s", "factorize_s", "solve_s"):
+                assert getattr(rec, name) >= 0.0
+            assert rec.accuracy is None and rec.total_s is None
+
     def test_sweep_nodes_forces_exact(self):
         spec = ExperimentSpec(
             kind="sweep-nodes",
@@ -264,12 +292,13 @@ class TestEmitReport:
         crows = list(csv.DictReader(cpath.open()))
         jrows = json.load(jpath.open())
         assert len(crows) == len(jrows) == len(report.records)
+        renamed = {"M": "m", "K": "k", "P": "p", "treeBuild_s": "tree_build_s"}
         for crow, jrow in zip(crows, jrows):
-            assert crow["strategy"] == jrow["strategy"]
-            assert int(crow["M"]) == jrow["m"]
-            assert float(crow["accuracy"]) == jrow["accuracy"]
-            # repr round-trips doubles exactly
-            assert float(crow["total_s"]) == jrow["total_s"]
+            assert list(crow) == list(CSV_COLUMNS)
+            for col in CSV_COLUMNS:
+                value = jrow[renamed.get(col, col)]
+                # repr round-trips doubles exactly
+                assert type(value)(crow[col]) == value, col
             assert jrow["error"] is None
 
     def test_json_includes_sampled_norms(self, tmp_path):

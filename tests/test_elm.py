@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sketchlearn import elm
 from sketchlearn.elm import (
     Dataset,
     ElmModel,
@@ -44,7 +45,7 @@ def toy_dataset(rng, d=3, count=10, n_classes=3):
 
 def exact_pinv(design):
     res = svd_dense(design)
-    return truncated_pinv(res, min(design.shape), rcond=1e-12)
+    return truncated_pinv(res, min(design.shape))
 
 
 class TestInitFeatures:
@@ -129,21 +130,24 @@ class TestBuildDesign:
         res = build_design(fm, ds)
         np.testing.assert_array_equal(res.design[0], featurize(fm, ds.inputs[0]))
 
-    def test_tree_consistency(self):
+    def test_tree_consistency(self, monkeypatch):
         fm = init_features(4, 10, np.random.default_rng(11))
         ds = toy_dataset(np.random.default_rng(12), d=4, count=23)
-        res = build_design(fm, ds, block=5)
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 5)
+        res = build_design(fm, ds)
         assert res.design is res.tree.dense  # one shared buffer
         np.testing.assert_allclose(
             res.tree.fro_norm_sq(), np.sum(res.design**2), rtol=1e-12
         )
         assert res.featurize_s >= 0.0 and res.tree_build_s >= 0.0
 
-    def test_block_size_does_not_change_result(self):
+    def test_block_size_does_not_change_result(self, monkeypatch):
         fm = init_features(4, 10, np.random.default_rng(13))
         ds = toy_dataset(np.random.default_rng(14), d=4, count=17)
-        r1 = build_design(fm, ds, block=3)
-        r2 = build_design(fm, ds, block=512)
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 3)
+        r1 = build_design(fm, ds)
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 512)
+        r2 = build_design(fm, ds)
         np.testing.assert_array_equal(r1.design, r2.design)
 
     def test_duplicate_inputs_duplicate_rows(self):
@@ -153,7 +157,7 @@ class TestBuildDesign:
         res = build_design(fm, ds)
         np.testing.assert_array_equal(res.design[0], res.design[1])
 
-    def test_without_tree(self):
+    def test_without_tree(self, monkeypatch):
         fm = init_features(3, 5, np.random.default_rng(17))
         ds = toy_dataset(np.random.default_rng(18), count=6)
         res = build_design(fm, ds, with_tree=False)
@@ -162,9 +166,10 @@ class TestBuildDesign:
         np.testing.assert_array_equal(
             res.design, featurize_batch(fm, ds.inputs)
         )
-        with_tree = build_design(fm, ds, block=4)
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 4)
+        with_tree = build_design(fm, ds)
         np.testing.assert_array_equal(
-            build_design(fm, ds, with_tree=False, block=4).design, with_tree.design
+            build_design(fm, ds, with_tree=False).design, with_tree.design
         )
 
 
@@ -253,12 +258,13 @@ class TestPredict:
             expected = [float(phi @ model.w[:, l]) for l in range(3)]
             np.testing.assert_allclose(scores(model, x), expected, atol=1e-12)
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_single(self, monkeypatch):
         rng = np.random.default_rng(24)
         fm = init_features(3, 5, rng)
         model = ElmModel(features=fm, w=rng.standard_normal((5, 4)))
         xs = rng.random((30, 3))
-        batch = predict_batch(model, xs, block=7)
+        monkeypatch.setattr(elm, "PREDICT_BLOCK", 7)
+        batch = predict_batch(model, xs)
         np.testing.assert_array_equal(batch, [predict(model, x) for x in xs])
 
     def test_invariant_under_common_rescale(self):
