@@ -101,6 +101,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown strategies {sorted(bad)}")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        for name in ("m", "k", "p"):
+            values = getattr(self, name)
+            if any(v < 1 for v in values):
+                raise ValueError(f"{name} values must be >= 1, got {values}")
         if self.subsample is not None and self.subsample < 1:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
         self.optimizer  # checks the optimizer fields
@@ -238,33 +242,38 @@ def _factorize(design_result, rec: RunRecord, cfg_seed_tag: int):
     return pinv, draw, elapsed
 
 
+def _run_pass(rec: RunRecord, fm, train: elm.Dataset, n_classes: int, tag: int):
+    """One design -> factorize -> solve pass under sketch stream ``tag``.
+
+    Adds each stage's time to ``rec``; a stage the pass does not reach
+    keeps its field as it was (``None`` before the first pass).
+    """
+    dr = elm.build_design(fm, train, with_tree=rec.strategy == "norm")
+    rec.featurize_s = (rec.featurize_s or 0.0) + dr.featurize_s
+    rec.tree_build_s = (rec.tree_build_s or 0.0) + dr.tree_build_s
+    pinv, draw, factorize_s = _factorize(dr, rec, tag)
+    rec.factorize_s = (rec.factorize_s or 0.0) + factorize_s
+    t0 = time.perf_counter()
+    model = elm.train(fm, train, pinv, n_classes)
+    rec.solve_s = (rec.solve_s or 0.0) + (time.perf_counter() - t0)
+    return model, dr, draw
+
+
 def _run_classification_point(
     spec: ExperimentSpec, rec: RunRecord, train: elm.Dataset, test: elm.Dataset
 ) -> None:
-    """Design, factorize and solve; the optimized kinds then optimize the
-    features and run a second, re-sketched pass. Stage times add up over the
-    passes, and a stage that no pass reached keeps its ``None``."""
+    """One pass; the optimized kinds then optimize the features and run a
+    second, re-sketched pass, whose stage times add to the first's."""
     n_classes = max(elm.infer_classes(train), elm.infer_classes(test))
-    with_tree = rec.strategy == "norm"
-    passes = (_TAG_SKETCH,)
-    if rec.kind in OPTIMIZED_KINDS:
-        passes = (_TAG_SKETCH, _TAG_RESKETCH)
     t_all = time.perf_counter()
 
     fm = elm.init_features(train.dim, rec.m, _rng([rec.seed, rec.m, _TAG_FEAT]))
-    for tag in passes:
-        if tag == _TAG_RESKETCH:
-            fm = elm.optimize_features(
-                model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
-            )
-        dr = elm.build_design(fm, train, with_tree=with_tree)
-        rec.featurize_s = (rec.featurize_s or 0.0) + dr.featurize_s
-        rec.tree_build_s = (rec.tree_build_s or 0.0) + dr.tree_build_s
-        pinv, draw, factorize_s = _factorize(dr, rec, tag)
-        rec.factorize_s = (rec.factorize_s or 0.0) + factorize_s
-        t0 = time.perf_counter()
-        model = elm.train(fm, train, pinv, n_classes)
-        rec.solve_s = (rec.solve_s or 0.0) + (time.perf_counter() - t0)
+    model, dr, draw = _run_pass(rec, fm, train, n_classes, _TAG_SKETCH)
+    if rec.kind in OPTIMIZED_KINDS:
+        fm = elm.optimize_features(
+            model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
+        )
+        model, dr, draw = _run_pass(rec, fm, train, n_classes, _TAG_RESKETCH)
 
     if rec.kind == "sampled-norms" and draw is not None:
         norms = np.linalg.norm(dr.design[:, draw.col_idx], axis=0)

@@ -54,6 +54,10 @@ class TestSpecValidation:
             dict(kind="compare-sampling", subsample=-5),
             dict(kind="optimized-compare", batch_size=0),
             dict(kind="optimized-compare", batch_size=-3),
+            dict(kind="sweep-rank", k=(0,)),
+            dict(kind="sweep-rank", k=(5, -2)),
+            dict(kind="compare-sampling", m=(0,)),
+            dict(kind="compare-sampling", p=(0,)),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -395,7 +399,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--batch-size", "0"), ("--batch-size", "-3"), ("--subsample", "-5")],
+        [
+            ("--batch-size", "0"),
+            ("--batch-size", "-3"),
+            ("--subsample", "-5"),
+            ("--experiment", "sweep-rank", "--k", "0"),
+            ("--experiment", "sweep-rank", "--k", "-2"),
+        ],
     )
     def test_out_of_range_flag_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "run.csv"
