@@ -10,7 +10,10 @@ At the 2048 x 4096 shape it also times, for P in 50, 100 and 200 and on
 one seeded norm draw per P, the rest of the sketch stage by stage: the row
 sketch S (``build_s``), the P x P core W read off it (``build_w``), W's
 SVD (``svd_dense``), the lift of its top 10 triplets (``reconstruct``) and
-the rank-10 pseudo-inverse of the lifted factors (``truncated_pinv``).
+the rank-10 pseudo-inverse of the lifted factors (``truncated_pinv``). The
+lift is also split into its three steps, each timed on the previous one's
+output: ``S^T u'`` over the top singular values, the QR of that basis, and
+the one full pass ``X @ v``.
 Every repeat of a draw layer draws fresh rows, as a workload does; the
 column draws get theirs from an untimed row draw. Each layer gives the
 median and the minimum over the repeats, taken after one untimed warm-up.
@@ -18,9 +21,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_9.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_10.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_9.json
+        --out BENCH_10.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -128,6 +131,13 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
             out.append((f"build_w_p{p}", timed(lambda: build_w(s, d), repeats)))
             out.append((f"lift_p{p}",
                         timed(lambda: reconstruct(store, s, w_svd, LIFT_K), repeats)))
+            # The lift's steps as reconstruct runs them.
+            u, sigma = w_svd.u[:, :LIFT_K], w_svd.sigma[:LIFT_K]
+            v = (s.T @ u) / sigma
+            q = np.linalg.qr(v)[0]
+            out.append((f"lift_stu_p{p}", timed(lambda: (s.T @ u) / sigma, repeats)))
+            out.append((f"lift_qr_p{p}", timed(lambda: np.linalg.qr(v), repeats)))
+            out.append((f"lift_xv_p{p}", timed(lambda: store.dense @ q, repeats)))
             out.append((f"pinv_p{p}",
                         timed(lambda: truncated_pinv(lifted, LIFT_K), repeats)))
     # The first read after the updates refreshes whatever they left pending.

@@ -351,7 +351,7 @@ class SegTreeMatrix:
             bad = int(rows[np.argmax(totals <= 0.0)])
             raise ZeroRow(f"row {bad} has zero norm; its column law is undefined")
         u = rng.random(rows.size) * totals
-        csum = self._blocks[rows]
+        csum = self._blocks.take(rows, axis=0)
         np.cumsum(csum, axis=1, out=csum)
         b = _pick(csum, u)
         u -= np.where(b > 0, csum[np.arange(rows.size), b - 1], 0.0)

@@ -78,15 +78,27 @@ class TestDrawSamples:
         g = col_mixture_probs(x, d.row_idx)
         np.testing.assert_allclose(d.col_prob, g[d.col_idx], rtol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(8, 8), (50, 150), (33, 1024)])
-    def test_column_probs_bitwise_formula(self, shape):
+    @pytest.mark.parametrize(
+        "shape, p",
+        [
+            pytest.param((8, 8), 40, id="shape0"),
+            pytest.param((50, 150), 40, id="shape1"),
+            pytest.param((33, 1024), 40, id="shape2"),
+            pytest.param((50, 150), 1, id="p1"),
+            # Chunks of 5 rows, the last one 2 rows short.
+            pytest.param((50, 150), 37, id="p37-short-last-chunk"),
+            pytest.param((6, 300), 64, id="p-above-rows"),
+        ],
+    )
+    def test_column_probs_bitwise_formula(self, shape, p):
         """col_prob is exactly mean_p X[i_p, j]^2 / rowNormSq(i_p), the
         formula evaluated on the draw's own indices, bit for bit."""
         rng = np.random.default_rng(27)
         x = rng.standard_normal(shape) * rng.lognormal(0.0, 1.0, (shape[0], 1))
         x[x < -1.0] = 0.0
         t = SegTreeMatrix(x)
-        d = draw_samples(t, SketchConfig(k=2, p=40), np.random.default_rng(28))
+        d = draw_samples(t, SketchConfig(k=1, p=p), np.random.default_rng(28))
+        assert d.p == p
         r, c = d.row_idx, d.col_idx
         ns = t.row_norm_sq(r)
         expected = (x[np.ix_(r, c)] ** 2 / ns[:, None]).mean(axis=0)
@@ -217,6 +229,21 @@ class TestBuildS:
         d = draw_samples(t, SketchConfig(k=1, p=7), np.random.default_rng(9))
         s = build_s(t, d)
         np.testing.assert_allclose(s.T @ s, x.T @ x, rtol=1e-12)
+
+    def test_holds_one_row_sketch(self):
+        """S at P=200 on a 512 x 4096 store allocates about one P x n array
+        at its peak: the rows are gathered once and rescaled in place."""
+        p, n = 200, 4096
+        t = SegTreeMatrix(np.random.default_rng(31).standard_normal((512, n)))
+        d = draw_samples(t, SketchConfig(k=10, p=p), np.random.default_rng(32))
+        tracemalloc.start()
+        try:
+            s = build_s(t, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.shape == (p, n)
+        assert peak <= 1.25 * 8 * p * n, peak / (8 * p * n)
 
 
 class TestReconstruct:
