@@ -14,6 +14,10 @@ the rank-10 pseudo-inverse of the lifted factors (``truncated_pinv``). The
 lift is also split into its three steps, each timed on the previous one's
 output: ``S^T u'`` over the top singular values, the QR of that basis, and
 the one full pass ``X @ v``.
+In a process of its own, each ``EVAL_SHAPES`` entry times ``evaluate``
+of one fixed seeded model (10 classes) on 1000 seeded test rows: at
+d=64, M=10000 (the timing-ordering criterion's shape) and at M=1024 (the
+elm-wide workload's width).
 Every repeat of a draw layer draws fresh rows, as a workload does; the
 column draws get theirs from an untimed row draw. Each layer gives the
 median and the minimum over the repeats, taken after one untimed warm-up.
@@ -21,9 +25,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_10.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_11.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_10.json
+        --out BENCH_11.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -53,6 +57,10 @@ REPEATS = 7
 CORE_SHAPE = (2048, 4096)
 CORE_P = (50, 100, 200)
 LIFT_K = 10
+# (test rows, input width d, features M) for the evaluate layer.
+EVAL_SHAPES = ((1000, 64, 10000), (1000, 64, 1024))
+EVAL_CLASSES = 10
+EVAL_REPEATS = 15
 
 
 def machine() -> dict:
@@ -174,10 +182,23 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
             "layers": dict(out)}
 
 
-def measure_fresh(rows: int, cols: int, src: Path) -> dict:
-    """Run :func:`measure` for one shape in a new interpreter."""
+def measure_evaluate(rows: int, d: int, m: int, repeats: int) -> dict:
+    import numpy as np
+    from sketchlearn.elm import Dataset, ElmModel, evaluate, init_features
+
+    rng = np.random.default_rng([rows, d, m])
+    model = ElmModel(features=init_features(d, m, rng),
+                     w=rng.standard_normal((m, EVAL_CLASSES)))
+    ds = Dataset(inputs=rng.random((rows, d)),
+                 labels=rng.integers(0, EVAL_CLASSES, rows))
+    layers = {"evaluate": timed(lambda: evaluate(model, ds), repeats)}
+    return {"rows": rows, "d": d, "m": m, "peak_rss_mb": peak_rss_mb(), "layers": layers}
+
+
+def measure_fresh(flag: str, shape: tuple, src: Path) -> dict:
+    """Run one ``--shape`` or ``--eval-shape`` measurement in a new interpreter."""
     done = subprocess.run(
-        [sys.executable, __file__, "--src", str(src), "--shape", f"{rows}x{cols}"],
+        [sys.executable, __file__, "--src", str(src), flag, "x".join(map(str, shape))],
         check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout)
@@ -190,17 +211,23 @@ def main() -> None:
     ap.add_argument("--label", help="key of this snapshot in the output file")
     ap.add_argument("--out", type=Path, help="JSON file to add the snapshot to")
     ap.add_argument("--shape", help="measure one ROWSxCOLS shape and print its JSON")
+    ap.add_argument("--eval-shape",
+                    help="measure evaluate at one ROWSxDxM shape and print its JSON")
     args = ap.parse_args()
     src = args.src.resolve()
-    if args.shape:
+    if args.shape or args.eval_shape:
         sys.path.insert(0, str(src))
-        rows, cols = map(int, args.shape.split("x"))
-        print(json.dumps(measure(rows, cols, REPEATS)))
+        if args.shape:
+            print(json.dumps(measure(*map(int, args.shape.split("x")), REPEATS)))
+        else:
+            dims = map(int, args.eval_shape.split("x"))
+            print(json.dumps(measure_evaluate(*dims, EVAL_REPEATS)))
         return
     if not (args.label and args.out):
         ap.error("--label and --out are required")
 
-    shapes = [measure_fresh(rows, cols, src) for rows, cols in SHAPES]
+    shapes = [measure_fresh("--shape", shape, src) for shape in SHAPES]
+    evals = [measure_fresh("--eval-shape", shape, src) for shape in EVAL_SHAPES]
     snapshot = {
         "machine": machine(),
         "updates": UPDATES,
@@ -209,12 +236,14 @@ def main() -> None:
         "core_p": list(CORE_P),
         "lift_k": LIFT_K,
         "shapes": shapes,
+        "evaluate": evals,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("snapshots", {})[args.label] = snapshot
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for shape in shapes:
-        print(f"{shape['rows']}x{shape['cols']}: peak RSS {shape['peak_rss_mb']:.1f} MB")
+    for shape in shapes + evals:
+        dims = "x".join(str(shape[key]) for key in ("rows", "cols", "d", "m") if key in shape)
+        print(f"{dims}: peak RSS {shape['peak_rss_mb']:.1f} MB")
         for name, e in shape["layers"].items():
             print(f"  {name:>22} median {e['median_s'] * 1e3:9.3f} ms"
                   f"  min {e['min_s'] * 1e3:9.3f} ms")

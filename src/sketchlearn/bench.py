@@ -11,9 +11,11 @@ import csv
 import json
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -69,6 +71,11 @@ _SYNTH_CLASSES = 10
 _SYNTH_TEST_COUNT = 1000
 
 
+def _is_int(value) -> bool:
+    # JSON true is an int to Python, but no count or seed.
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: the cross product of the parameter lists below."""
@@ -87,26 +94,27 @@ class ExperimentSpec:
     data_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("m", "k", "p", "strategies", "seeds"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.dataset not in DATASETS:
             raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
         for name in ("m", "k", "p", "strategies", "seeds"):
-            if not getattr(self, name):
-                raise ValueError(f"parameter list {name!r} is empty")
-        bad = set(self.strategies) - set(STRATEGIES)
-        if bad:
-            raise ValueError(f"unknown strategies {sorted(bad)}")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be nonnegative")
-        for name in ("m", "k", "p"):
             values = getattr(self, name)
-            if any(v < 1 for v in values):
-                raise ValueError(f"{name} values must be >= 1, got {values}")
-        if self.subsample is not None and self.subsample < 1:
-            raise ValueError(f"subsample must be >= 1, got {self.subsample}")
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ValueError(f"parameter {name!r} must be a list, got {values!r}")
+            values = tuple(values)
+            object.__setattr__(self, name, values)
+            if not values:
+                raise ValueError(f"parameter list {name!r} is empty")
+            low = 0 if name == "seeds" else 1
+            if name == "strategies":
+                bad = [v for v in values if v not in STRATEGIES]
+                if bad:
+                    raise ValueError(f"unknown strategies {bad}")
+            elif not all(_is_int(v) and v >= low for v in values):
+                raise ValueError(f"{name} values must be integers >= {low}, got {values}")
+        if self.subsample is not None and not (_is_int(self.subsample) and self.subsample >= 1):
+            raise ValueError(f"subsample must be an integer >= 1, got {self.subsample!r}")
         self.optimizer  # checks the optimizer fields
 
     @property

@@ -24,7 +24,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     ap.add_argument("--config", help="JSON file with ExperimentSpec fields")
-    ap.add_argument("--experiment", choices=KINDS, help="sweep kind")
+    ap.add_argument("--experiment", dest="kind", choices=KINDS, help="sweep kind")
     ap.add_argument("--dataset", choices=DATASETS)
     ap.add_argument(
         "--data-dir",
@@ -33,12 +33,12 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--m", type=int, nargs="+", help="feature counts (nodes)")
     ap.add_argument("--k", type=int, nargs="+", help="truncation ranks")
     ap.add_argument("--p", type=int, nargs="+", help="sample counts")
-    ap.add_argument(
-        "--strategy", choices=STRATEGIES, nargs="+", help="factorization strategies"
-    )
+    ap.add_argument("--strategy", dest="strategies", choices=STRATEGIES, nargs="+",
+                    help="factorization strategies")
     ap.add_argument("--seeds", type=int, nargs="+", help="explicit seed list")
     ap.add_argument("--subsample", type=int, help="cap on training points")
-    ap.add_argument("--lr", type=float, help="feature-optimization learning rate")
+    ap.add_argument("--lr", dest="learning_rate", type=float,
+                    help="feature-optimization learning rate")
     ap.add_argument("--epochs", type=int, help="feature-optimization epochs")
     ap.add_argument("--batch-size", type=int, help="minibatch size (default full batch)")
     ap.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
@@ -47,41 +47,26 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-_FLAG_TO_FIELD = {
-    "experiment": "kind",
-    "dataset": "dataset",
-    "data_dir": "data_dir",
-    "m": "m",
-    "k": "k",
-    "p": "p",
-    "strategy": "strategies",
-    "seeds": "seeds",
-    "subsample": "subsample",
-    "lr": "learning_rate",
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-}
-
-
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Merge config-file values and CLI flags into an ExperimentSpec."""
     merged: dict = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config must be a JSON object of ExperimentSpec fields")
         unknown = set(loaded) - _SPEC_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         merged.update(loaded)
-    for flag, fld in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
-        if value is not None:
-            merged[fld] = value
+    merged.update(
+        (name, value) for name, value in vars(args).items()
+        if name in _SPEC_FIELDS and value is not None
+    )
     if "kind" not in merged:
         raise ValueError("an experiment kind is required (--experiment or config)")
-    merged["data_dir"] = (
-        str(resolve_data_dir(merged.get("data_dir")) or "") or None
-    )
+    data_dir = resolve_data_dir(merged.get("data_dir"))
+    merged["data_dir"] = None if data_dir is None else str(data_dir)
     return ExperimentSpec(**merged)
 
 
@@ -93,7 +78,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_experiment(spec, jobs=max(1, args.jobs))
+        report = run_experiment(spec, jobs=args.jobs)
         emit_report(report, args.format, args.out)
     except (SketchLearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .segtree import SegTreeMatrix
 MODEL_MAGIC = b"ELM1"
 # Rows featurized per block by build_design and predict_batch.
 DEFAULT_BLOCK = 512
-PREDICT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,15 @@ class OptimizerConfig:
     batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        size = self.batch_size
+        if size is not None and not (isinstance(size, Integral) and size >= 1):
+            raise ValueError(f"batch_size must be an integer >= 1, got {size!r}")
+        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        # A NaN rate would never trip the divergence check.
+        lr = self.learning_rate
+        if not (isinstance(lr, Real) and 0.0 <= lr < np.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {lr!r}")
 
 
 def init_features(d: int, m: int, rng: np.random.Generator) -> FeatureMap:
@@ -234,12 +241,14 @@ def predict(model: ElmModel, x) -> int:
 
 
 def predict_batch(model: ElmModel, xs) -> np.ndarray:
+    """Predicted labels, featurizing ``DEFAULT_BLOCK`` rows at a time into one buffer."""
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty(xs.shape[0], dtype=np.int64)
-    for start in range(0, xs.shape[0], PREDICT_BLOCK):
-        stop = min(start + PREDICT_BLOCK, xs.shape[0])
-        phi = featurize_batch(model.features, xs[start:stop])
-        out[start:stop] = np.argmax(phi @ model.w, axis=1)
+    out = np.empty(len(xs), dtype=np.int64)
+    phi = np.empty((min(DEFAULT_BLOCK, len(xs)), model.features.m))
+    for start in range(0, len(xs), DEFAULT_BLOCK):
+        stop = min(start + DEFAULT_BLOCK, len(xs))
+        rows = featurize_batch(model.features, xs[start:stop], out=phi[: stop - start])
+        out[start:stop] = np.argmax(rows @ model.w, axis=1)
     return out
 
 

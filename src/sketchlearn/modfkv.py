@@ -192,8 +192,8 @@ def reconstruct(
     noise of W as a skewed basis (their Gram matrix drifts from I like
     1/sqrt(P)), which dominates the reconstruction error long after the
     spanned subspace itself is accurate. The basis is therefore
-    orthonormalized (QR, deterministic signs) and sigma_i, u_i recomputed
-    as the norm and direction of X v_i.
+    orthonormalized (QR) and sigma_i, u_i recomputed as the norm and
+    direction of X v_i; u_i takes v_i's QR sign, so u_i v_i^T is unaffected.
 
     Requires ``k`` usable singular values (:func:`usable_rank`); use
     :func:`modfkv` for the warn-and-reduce behavior.
@@ -206,10 +206,7 @@ def reconstruct(
             f"sketch has {usable} usable singular values, need {k}"
         )
     v = (s.T @ w_svd.u[:, :k]) / w_svd.sigma[:k]
-    v, r = np.linalg.qr(v)
-    flip = np.sign(np.diag(r))
-    flip[flip == 0.0] = 1.0
-    v = v * flip
+    v = np.linalg.qr(v)[0]
     xv = _dense_of(t) @ v
     sigma = np.linalg.norm(xv, axis=0)
     if np.any(sigma <= 0.0):

@@ -58,6 +58,22 @@ class TestSpecValidation:
             dict(kind="sweep-rank", k=(5, -2)),
             dict(kind="compare-sampling", m=(0,)),
             dict(kind="compare-sampling", p=(0,)),
+            # List fields given as a scalar or a string, as a config can.
+            dict(kind="compare-sampling", m=50),
+            dict(kind="compare-sampling", m="50"),
+            # Entries and counts that no integer flag can express.
+            dict(kind="compare-sampling", m=(2.5,)),
+            dict(kind="sweep-rank", k=(2.5,)),
+            dict(kind="compare-sampling", p=(1.5,)),
+            dict(kind="compare-sampling", seeds=(1.5,)),
+            dict(kind="compare-sampling", m=(True,)),
+            dict(kind="compare-sampling", subsample=2.5),
+            dict(kind="optimized-compare", batch_size=1.5),
+            dict(kind="optimized-compare", epochs=-2),
+            dict(kind="optimized-compare", epochs=2.5),
+            dict(kind="optimized-compare", learning_rate=float("nan")),
+            dict(kind="optimized-compare", learning_rate=float("inf")),
+            dict(kind="optimized-compare", learning_rate=-1e-3),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -405,6 +421,9 @@ class TestCli:
             ("--subsample", "-5"),
             ("--experiment", "sweep-rank", "--k", "0"),
             ("--experiment", "sweep-rank", "--k", "-2"),
+            ("--epochs", "-2"),
+            ("--lr", "nan"),
+            ("--lr=-1e-3",),
         ],
     )
     def test_out_of_range_flag_exits_2(self, flags, tmp_path, capsys):
@@ -412,6 +431,15 @@ class TestCli:
         assert self.run_main(*flags, out=out) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "loaded", [{"kind": "compare-sampling", "m": 50}, 50, ["compare-sampling"]]
+    )
+    def test_config_of_wrong_shape_exits_2(self, loaded, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        assert main(["--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

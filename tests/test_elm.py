@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,9 +265,28 @@ class TestPredict:
         fm = init_features(3, 5, rng)
         model = ElmModel(features=fm, w=rng.standard_normal((5, 4)))
         xs = rng.random((30, 3))
-        monkeypatch.setattr(elm, "PREDICT_BLOCK", 7)
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 7)
         batch = predict_batch(model, xs)
         np.testing.assert_array_equal(batch, [predict(model, x) for x in xs])
+
+    def test_batch_holds_one_feature_block(self, monkeypatch):
+        """predict_batch featurizes into one DEFAULT_BLOCK x M buffer, so its
+        peak stays near one block however many rows it is given."""
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 64)
+        rng = np.random.default_rng(31)
+        m = 400
+        model = ElmModel(
+            features=init_features(8, m, rng), w=rng.standard_normal((m, 10))
+        )
+        xs = rng.random((640, 8))
+        tracemalloc.start()
+        try:
+            predict_batch(model, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * 64 * m
+        assert peak < 2 * block, peak / block
 
     def test_invariant_under_common_rescale(self):
         rng = np.random.default_rng(25)
@@ -344,6 +365,26 @@ class TestOptimizeFeatures:
         # step for a negative size.
         with pytest.raises(ValueError, match="batch_size"):
             OptimizerConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # range() would fail at run time for a non-integer size.
+            ("batch_size", 1.5),
+            # A negative count would silently run zero epochs.
+            ("epochs", -2),
+            ("epochs", 2.5),
+            # A NaN loss never exceeds 10x the first one, so a NaN rate
+            # would never raise Diverged; the others are not step sizes.
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", -1e-3),
+            ("learning_rate", "0.1"),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(29)
