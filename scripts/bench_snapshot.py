@@ -18,6 +18,14 @@ In a process of its own, each ``EVAL_SHAPES`` entry times ``evaluate``
 of one fixed seeded model (10 classes) on 1000 seeded test rows: at
 d=64, M=10000 (the timing-ordering criterion's shape) and at M=1024 (the
 elm-wide workload's width).
+Each ``POINTS`` entry is one whole bench point, ``run_experiment`` of a
+one-point spec in a process of its own, with the median and minimum of
+each stage field of its record (featurize, tree build, factorize, solve,
+total) and its seeded accuracy: the timing-ordering criterion's point
+(D=2000, M=10000, K=10, P=100) for norm and uniform at ``REPEATS`` and for
+exact once, with no warm-up (its SVD takes about 10 s), and a
+``sweep-samples`` matrix point (400 x 300, K=5, P=50) for all three
+strategies at ``REPEATS``.
 Every repeat of a draw layer draws fresh rows, as a workload does; the
 column draws get theirs from an untimed row draw. Each layer gives the
 median and the minimum over the repeats, taken after one untimed warm-up.
@@ -25,9 +33,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_11.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_12.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_11.json
+        --out BENCH_12.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -61,6 +69,19 @@ LIFT_K = 10
 EVAL_SHAPES = ((1000, 64, 10000), (1000, 64, 1024))
 EVAL_CLASSES = 10
 EVAL_REPEATS = 15
+STAGES = ("featurize_s", "tree_build_s", "factorize_s", "solve_s", "total_s")
+_CRIT6 = dict(kind="compare-sampling", m=(10_000,), k=(10,), p=(100,), subsample=2000)
+_MATRIX = dict(kind="sweep-samples", k=(5,), p=(50,))
+# Point name -> (ExperimentSpec fields, timed repeats). A point timed once
+# gets no warm-up: the exact criterion-6 SVD alone takes about 10 s.
+POINTS = {
+    f"{name}_{s}": (
+        dict(fields, strategies=(s,)),
+        1 if (name, s) == ("criterion6", "exact") else REPEATS,
+    )
+    for name, fields in (("criterion6", _CRIT6), ("matrix", _MATRIX))
+    for s in ("exact", "norm", "uniform")
+}
 
 
 def machine() -> dict:
@@ -195,10 +216,27 @@ def measure_evaluate(rows: int, d: int, m: int, repeats: int) -> dict:
     return {"rows": rows, "d": d, "m": m, "peak_rss_mb": peak_rss_mb(), "layers": layers}
 
 
-def measure_fresh(flag: str, shape: tuple, src: Path) -> dict:
-    """Run one ``--shape`` or ``--eval-shape`` measurement in a new interpreter."""
+def measure_point(name: str) -> dict:
+    from sketchlearn.bench import ExperimentSpec, run_experiment
+
+    fields, repeats = POINTS[name]
+    spec = ExperimentSpec(**fields)
+    warmups = 1 if repeats > 1 else 0
+    records = []
+    for _ in range(warmups + repeats):
+        (rec,) = run_experiment(spec).records
+        if rec.error:
+            raise RuntimeError(f"point {name} failed: {rec.error}")
+        records.append(rec)
+    stages = {f: summary([getattr(r, f) for r in records[warmups:]]) for f in STAGES}
+    return {"point": name, "accuracy": rec.accuracy, "peak_rss_mb": peak_rss_mb(),
+            "stages": stages}
+
+
+def measure_fresh(flag: str, arg: str, src: Path) -> dict:
+    """Run one ``--shape``/``--eval-shape``/``--point`` measurement in a new interpreter."""
     done = subprocess.run(
-        [sys.executable, __file__, "--src", str(src), flag, "x".join(map(str, shape))],
+        [sys.executable, __file__, "--src", str(src), flag, arg],
         check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout)
@@ -213,21 +251,26 @@ def main() -> None:
     ap.add_argument("--shape", help="measure one ROWSxCOLS shape and print its JSON")
     ap.add_argument("--eval-shape",
                     help="measure evaluate at one ROWSxDxM shape and print its JSON")
+    ap.add_argument("--point", choices=POINTS,
+                    help="measure one end-to-end bench point and print its JSON")
     args = ap.parse_args()
     src = args.src.resolve()
-    if args.shape or args.eval_shape:
+    if args.shape or args.eval_shape or args.point:
         sys.path.insert(0, str(src))
         if args.shape:
             print(json.dumps(measure(*map(int, args.shape.split("x")), REPEATS)))
-        else:
+        elif args.eval_shape:
             dims = map(int, args.eval_shape.split("x"))
             print(json.dumps(measure_evaluate(*dims, EVAL_REPEATS)))
+        else:
+            print(json.dumps(measure_point(args.point)))
         return
     if not (args.label and args.out):
         ap.error("--label and --out are required")
 
-    shapes = [measure_fresh("--shape", shape, src) for shape in SHAPES]
-    evals = [measure_fresh("--eval-shape", shape, src) for shape in EVAL_SHAPES]
+    shapes = [measure_fresh("--shape", "x".join(map(str, s)), src) for s in SHAPES]
+    evals = [measure_fresh("--eval-shape", "x".join(map(str, s)), src) for s in EVAL_SHAPES]
+    points = [measure_fresh("--point", name, src) for name in POINTS]
     snapshot = {
         "machine": machine(),
         "updates": UPDATES,
@@ -237,14 +280,15 @@ def main() -> None:
         "lift_k": LIFT_K,
         "shapes": shapes,
         "evaluate": evals,
+        "points": points,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("snapshots", {})[args.label] = snapshot
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for shape in shapes + evals:
+    for shape in shapes + evals + points:
         dims = "x".join(str(shape[key]) for key in ("rows", "cols", "d", "m") if key in shape)
-        print(f"{dims}: peak RSS {shape['peak_rss_mb']:.1f} MB")
-        for name, e in shape["layers"].items():
+        print(f"{shape.get('point', dims)}: peak RSS {shape['peak_rss_mb']:.1f} MB")
+        for name, e in shape.get("layers", shape.get("stages")).items():
             print(f"  {name:>22} median {e['median_s'] * 1e3:9.3f} ms"
                   f"  min {e['min_s'] * 1e3:9.3f} ms")
 

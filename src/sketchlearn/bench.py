@@ -15,14 +15,14 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
-from numbers import Integral
 
 import numpy as np
 
 from . import datasets as dsets
 from . import elm
+from .errors import is_number
 from .linalg import LowRankFactors, svd_dense, truncated_pinv, usable_rank
-from .modfkv import SketchConfig, draw_samples, modfkv
+from .modfkv import STRATEGIES as SKETCH_STRATEGIES, SketchConfig, draw_samples, modfkv
 from .segtree import SegTreeMatrix
 
 KINDS = (
@@ -34,7 +34,7 @@ KINDS = (
     "sampled-norms",
 )
 DATASETS = ("mnist", "cifar10", "synthetic")
-STRATEGIES = ("exact", "norm", "uniform")
+STRATEGIES = ("exact",) + SKETCH_STRATEGIES
 OPTIMIZED_KINDS = ("optimized-compare", "sampled-norms")
 # Kinds that, on the synthetic dataset, measure matrix reconstruction
 # instead of classification; their accuracy column holds the relative
@@ -62,18 +62,12 @@ _CSV_FIELDS = {"M": "m", "K": "k", "P": "p", "treeBuild_s": "tree_build_s"}
 # Stream tags keeping the per-point substreams (features, sketch,
 # optimizer, re-sketch, data subsampling) statistically independent.
 _TAG_FEAT, _TAG_SKETCH, _TAG_OPT, _TAG_RESKETCH, _TAG_DATA = 101, 102, 103, 104, 105
-_STRAT_CODE = {"exact": 0, "norm": 1, "uniform": 2}
 
 _SYNTH_MATRIX_COLS = 300
 _SYNTH_MATRIX_RANK = 5
 _SYNTH_BLOB_DIM = 64
 _SYNTH_CLASSES = 10
 _SYNTH_TEST_COUNT = 1000
-
-
-def _is_int(value) -> bool:
-    # JSON true is an int to Python, but no count or seed.
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -111,10 +105,14 @@ class ExperimentSpec:
                 bad = [v for v in values if v not in STRATEGIES]
                 if bad:
                     raise ValueError(f"unknown strategies {bad}")
-            elif not all(_is_int(v) and v >= low for v in values):
+            elif not all(is_number(v) and v >= low for v in values):
                 raise ValueError(f"{name} values must be integers >= {low}, got {values}")
-        if self.subsample is not None and not (_is_int(self.subsample) and self.subsample >= 1):
+        if self.subsample is not None and not (is_number(self.subsample) and self.subsample >= 1):
             raise ValueError(f"subsample must be an integer >= 1, got {self.subsample!r}")
+        if self.data_dir is not None and not isinstance(self.data_dir, str):
+            raise ValueError(f"data_dir must be a string, got {self.data_dir!r}")
+        data_dir = dsets.resolve_data_dir(self.data_dir)
+        object.__setattr__(self, "data_dir", None if data_dir is None else str(data_dir))
         self.optimizer  # checks the optimizer fields
 
     @property
@@ -199,30 +197,24 @@ def _run_matrix_point(spec: ExperimentSpec, rec: RunRecord) -> None:
     x = dsets.synth_lowrank(
         rows, _SYNTH_MATRIX_COLS, _SYNTH_MATRIX_RANK, 0.0, _rng([_TAG_DATA, 2])
     )
-    rec.featurize_s = 0.0
+    rec.featurize_s = rec.tree_build_s = 0.0
     t_all = time.perf_counter()
-    if rec.strategy == "exact":
-        rec.tree_build_s = 0.0
+    tree = None
+    if rec.strategy == "norm":
         t0 = time.perf_counter()
-        svd = svd_dense(x)
-        kk = min(rec.k, usable_rank(svd))
-        rec.factorize_s = time.perf_counter() - t0
-        # Reconstruction error of the rank-k truncation itself.
-        factors = LowRankFactors(u=svd.u[:, :kk], sigma=svd.sigma[:kk], v=svd.v[:, :kk])
-    else:
-        t0 = time.perf_counter()
-        source = SegTreeMatrix(x) if rec.strategy == "norm" else x
+        tree = SegTreeMatrix(x)
         rec.tree_build_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        factors = modfkv(source, _sketch_config(rec, _TAG_SKETCH))
-        rec.factorize_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    factors = _factors(rec, x, tree, _TAG_SKETCH)
+    rec.factorize_s = time.perf_counter() - t0
     rec.accuracy = _factor_error(x, factors)
     rec.solve_s = 0.0
     rec.total_s = time.perf_counter() - t_all
 
 
 def _point_entropy(rec: RunRecord, tag: int) -> list:
-    return [rec.seed, rec.m, rec.k, rec.p, _STRAT_CODE[rec.strategy], tag]
+    # A strategy's stream code is its index in STRATEGIES: exact 0, norm 1, uniform 2.
+    return [rec.seed, rec.m, rec.k, rec.p, STRATEGIES.index(rec.strategy), tag]
 
 
 def _sketch_config(rec: RunRecord, tag: int) -> SketchConfig:
@@ -230,24 +222,14 @@ def _sketch_config(rec: RunRecord, tag: int) -> SketchConfig:
     return SketchConfig(k=rec.k, p=rec.p, strategy=rec.strategy, seed=seed)
 
 
-def _factorize(design_result, rec: RunRecord, cfg_seed_tag: int):
-    """Timed pseudo-inverse factors for one pipeline stage.
-
-    For ``sampled-norms`` the sketch's draw is re-derived from its seed
-    after the timed region (see :func:`modfkv`); otherwise it is ``None``.
-    """
-    t0 = time.perf_counter()
+def _factors(rec: RunRecord, x: np.ndarray, tree, tag: int) -> LowRankFactors:
+    """The harness's one factorization: exact is the SVD cut to its top
+    ``min(k, usable_rank)`` triplets; a sketch runs on ``tree`` if given."""
     if rec.strategy == "exact":
-        pinv = truncated_pinv(svd_dense(design_result.design), rec.k)
-        return pinv, None, time.perf_counter() - t0
-    cfg = _sketch_config(rec, cfg_seed_tag)
-    source = design_result.tree if rec.strategy == "norm" else design_result.design
-    pinv = truncated_pinv(modfkv(source, cfg), rec.k)
-    elapsed = time.perf_counter() - t0
-    draw = None
-    if rec.kind == "sampled-norms":
-        draw = draw_samples(source, cfg, np.random.default_rng(cfg.seed))
-    return pinv, draw, elapsed
+        svd = svd_dense(x)
+        kk = min(rec.k, usable_rank(svd))
+        return LowRankFactors(u=svd.u[:, :kk], sigma=svd.sigma[:kk], v=svd.v[:, :kk])
+    return modfkv(x if tree is None else tree, _sketch_config(rec, tag))
 
 
 def _run_pass(rec: RunRecord, fm, train: elm.Dataset, n_classes: int, tag: int):
@@ -259,12 +241,13 @@ def _run_pass(rec: RunRecord, fm, train: elm.Dataset, n_classes: int, tag: int):
     dr = elm.build_design(fm, train, with_tree=rec.strategy == "norm")
     rec.featurize_s = (rec.featurize_s or 0.0) + dr.featurize_s
     rec.tree_build_s = (rec.tree_build_s or 0.0) + dr.tree_build_s
-    pinv, draw, factorize_s = _factorize(dr, rec, tag)
-    rec.factorize_s = (rec.factorize_s or 0.0) + factorize_s
+    t0 = time.perf_counter()
+    pinv = truncated_pinv(_factors(rec, dr.design, dr.tree, tag), rec.k)
+    rec.factorize_s = (rec.factorize_s or 0.0) + (time.perf_counter() - t0)
     t0 = time.perf_counter()
     model = elm.train(fm, train, pinv, n_classes)
     rec.solve_s = (rec.solve_s or 0.0) + (time.perf_counter() - t0)
-    return model, dr, draw
+    return model, dr
 
 
 def _run_classification_point(
@@ -276,14 +259,18 @@ def _run_classification_point(
     t_all = time.perf_counter()
 
     fm = elm.init_features(train.dim, rec.m, _rng([rec.seed, rec.m, _TAG_FEAT]))
-    model, dr, draw = _run_pass(rec, fm, train, n_classes, _TAG_SKETCH)
+    model, dr = _run_pass(rec, fm, train, n_classes, _TAG_SKETCH)
     if rec.kind in OPTIMIZED_KINDS:
         fm = elm.optimize_features(
             model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
         )
-        model, dr, draw = _run_pass(rec, fm, train, n_classes, _TAG_RESKETCH)
+        model, dr = _run_pass(rec, fm, train, n_classes, _TAG_RESKETCH)
 
-    if rec.kind == "sampled-norms" and draw is not None:
+    if rec.kind == "sampled-norms" and rec.strategy != "exact":
+        # The last (re-sketched) pass's draw, re-derived from its seed.
+        cfg = _sketch_config(rec, _TAG_RESKETCH)
+        source = dr.design if dr.tree is None else dr.tree
+        draw = draw_samples(source, cfg, np.random.default_rng(cfg.seed))
         norms = np.linalg.norm(dr.design[:, draw.col_idx], axis=0)
         rec.sampled_col_norms = [float(v) for v in norms]
 

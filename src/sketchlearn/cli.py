@@ -8,7 +8,7 @@ import json
 import sys
 
 from .bench import DATASETS, KINDS, STRATEGIES, ExperimentSpec, emit_report, run_experiment
-from .datasets import DATA_DIR_ENV, resolve_data_dir
+from .datasets import DATA_DIR_ENV
 from .errors import SketchLearnError
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
@@ -65,8 +65,6 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     )
     if "kind" not in merged:
         raise ValueError("an experiment kind is required (--experiment or config)")
-    data_dir = resolve_data_dir(merged.get("data_dir"))
-    merged["data_dir"] = None if data_dir is None else str(data_dir)
     return ExperimentSpec(**merged)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     LabelOutOfRange,
     NonFinite,
     TruncatedFile,
+    is_number,
 )
 from .linalg import LowRankFactors, apply_factors
 from .segtree import SegTreeMatrix
@@ -116,13 +117,13 @@ class OptimizerConfig:
 
     def __post_init__(self):
         size = self.batch_size
-        if size is not None and not (isinstance(size, Integral) and size >= 1):
+        if size is not None and not (is_number(size) and size >= 1):
             raise ValueError(f"batch_size must be an integer >= 1, got {size!r}")
-        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
+        if not (is_number(self.epochs) and self.epochs >= 0):
             raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         # A NaN rate would never trip the divergence check.
         lr = self.learning_rate
-        if not (isinstance(lr, Real) and 0.0 <= lr < np.inf):
+        if not (is_number(lr, Real) and 0.0 <= lr < np.inf):
             raise ValueError(f"learning_rate must be finite and >= 0, got {lr!r}")
 
 

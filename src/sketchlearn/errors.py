@@ -1,4 +1,11 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and its one type rule for counts."""
+
+from numbers import Integral
+
+
+def is_number(value, kind=Integral) -> bool:
+    """A ``kind`` (integer by default), not a bool: JSON true is no count or rate."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class SketchLearnError(Exception):

@@ -40,6 +40,7 @@ from .errors import (
     RankDeficientSketch,
     ZeroMatrix,
     ZeroProbability,
+    is_number,
 )
 from .linalg import LowRankFactors, svd_dense, usable_rank
 from .segtree import SegTreeMatrix
@@ -63,8 +64,10 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not (is_number(self.k) and self.k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not is_number(self.p):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < self.k:
             raise ValueError(f"need k <= p, got k={self.k}, p={self.p}")
         if self.strategy not in STRATEGIES:

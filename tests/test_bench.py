@@ -1,24 +1,28 @@
 import csv
 import io
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+import sketchlearn.bench as bench
 from sketchlearn.bench import (
     _TAG_SKETCH,
     CSV_COLUMNS,
     ExperimentSpec,
     RunRecord,
     RunReport,
-    _factorize,
+    _factors,
+    _run_pass,
     emit_report,
     run_experiment,
 )
 from sketchlearn.cli import main
-from sketchlearn.elm import DesignResult
-from sketchlearn.errors import RankDeficientSketch
+from sketchlearn.elm import Dataset, init_features, train
+from sketchlearn.errors import DatasetMissing, RankDeficientSketch
+from sketchlearn.linalg import svd_dense, truncated_pinv
 
 
 def tiny_spec(**overrides):
@@ -74,6 +78,11 @@ class TestSpecValidation:
             dict(kind="optimized-compare", learning_rate=float("nan")),
             dict(kind="optimized-compare", learning_rate=float("inf")),
             dict(kind="optimized-compare", learning_rate=-1e-3),
+            # JSON true is an int to Python, but no count or rate.
+            dict(kind="optimized-compare", epochs=True),
+            dict(kind="optimized-compare", batch_size=True),
+            dict(kind="optimized-compare", learning_rate=True),
+            dict(kind="compare-sampling", data_dir=5),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -228,6 +237,37 @@ class TestRunExperiment:
             assert len(rec.sampled_col_norms) == 12
             assert all(v >= 0.0 for v in rec.sampled_col_norms)
 
+    def test_sampled_norms_rederives_one_draw_per_sketched_point(self, monkeypatch):
+        # The sketch draws through modfkv's own global, so the stub sees
+        # only the harness's re-derivations of a point's last draw.
+        strategies = []
+        real = bench.draw_samples
+
+        def counting(t, cfg, rng):
+            strategies.append(cfg.strategy)
+            return real(t, cfg, rng)
+
+        monkeypatch.setattr(bench, "draw_samples", counting)
+        spec = ExperimentSpec(
+            kind="sampled-norms",
+            m=(30,),
+            k=(4,),
+            p=(12,),
+            strategies=("exact", "norm", "uniform"),
+            seeds=(0,),
+            subsample=150,
+            epochs=2,
+        )
+        assert run_experiment(spec).ok
+        assert sorted(strategies) == ["norm", "uniform"]
+
+    def test_library_run_reads_data_dir_from_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SKETCHLEARN_DATA_DIR", str(tmp_path))
+        spec = ExperimentSpec(kind="compare-sampling", dataset="mnist")
+        assert spec.data_dir == str(tmp_path)
+        with pytest.raises(DatasetMissing, match=re.escape(str(tmp_path))):
+            run_experiment(spec)
+
     def test_optimized_compare_runs(self):
         spec = ExperimentSpec(
             kind="optimized-compare",
@@ -255,7 +295,6 @@ class TestRunExperiment:
 
 def sampled_norms_point(x, k, p):
     """Factorize a given design as one uniform sampled-norms point would."""
-    dr = DesignResult(design=x, tree=None, featurize_s=0.0, tree_build_s=0.0)
     rec = RunRecord(
         kind="sampled-norms",
         dataset="synthetic",
@@ -265,7 +304,7 @@ def sampled_norms_point(x, k, p):
         strategy="uniform",
         seed=0,
     )
-    return _factorize(dr, rec, _TAG_SKETCH)
+    return truncated_pinv(_factors(rec, x, None, _TAG_SKETCH), k)
 
 
 class TestSampledNormsSketchPath:
@@ -279,9 +318,30 @@ class TestSampledNormsSketchPath:
     def test_reduced_rank_warns(self):
         x = np.outer(np.arange(1.0, 41.0), np.linspace(0.5, 2.0, 30))
         with pytest.warns(RuntimeWarning, match="reduced"):
-            pinv, draw, _ = sampled_norms_point(x, k=3, p=10)
+            pinv = sampled_norms_point(x, k=3, p=10)
         assert pinv.k == 1
-        assert draw.p == 10
+
+
+class TestExactPoint:
+    def test_rank_above_design_rank_trains_as_full_pinv(self):
+        # Six points give a design of rank at most 6 < K=10, so the exact
+        # factors are cut below K; the weights match the uncut pseudo-inverse.
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.random((6, 4)), np.arange(6) % 3)
+        fm = init_features(4, 30, rng)
+        rec = RunRecord(
+            kind="compare-sampling",
+            dataset="synthetic",
+            m=30,
+            k=10,
+            p=0,
+            strategy="exact",
+            seed=0,
+        )
+        model, dr = _run_pass(rec, fm, data, 3, _TAG_SKETCH)
+        assert np.linalg.matrix_rank(dr.design) < rec.k
+        expected = train(fm, data, truncated_pinv(svd_dense(dr.design), rec.k), 3)
+        np.testing.assert_array_equal(model.w, expected.w)
 
 
 class TestEmitReport:
@@ -433,7 +493,14 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "loaded", [{"kind": "compare-sampling", "m": 50}, 50, ["compare-sampling"]]
+        "loaded",
+        [
+            {"kind": "compare-sampling", "m": 50},
+            50,
+            ["compare-sampling"],
+            {"kind": "compare-sampling", "data_dir": 5},
+            {"kind": "optimized-compare", "epochs": True},
+        ],
     )
     def test_config_of_wrong_shape_exits_2(self, loaded, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

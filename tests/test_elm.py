@@ -380,6 +380,10 @@ class TestOptimizeFeatures:
             ("learning_rate", float("inf")),
             ("learning_rate", -1e-3),
             ("learning_rate", "0.1"),
+            # JSON true is an int to Python, but no count or rate.
+            ("batch_size", True),
+            ("epochs", True),
+            ("learning_rate", True),
         ],
     )
     def test_rejects_out_of_range_fields(self, field, value):

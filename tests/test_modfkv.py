@@ -45,6 +45,11 @@ class TestConfig:
             dict(k=0, p=5),
             dict(k=6, p=5),
             dict(k=2, p=5, strategy="leverage"),
+            # A fractional rank would fail in the lift's slice; a bool is no rank.
+            dict(k=2.5, p=20),
+            dict(k=True, p=20),
+            dict(k=2, p=20.5),
+            dict(k=1, p=True),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
