@@ -2,10 +2,12 @@
 """Layer timings of the sampling store, written as one labelled snapshot.
 
 Needs no data files: every input is a seeded Gaussian matrix. For each
-shape it times the store build, a P=256 row draw, 256 in-row column draws,
-a whole P=256 sketch draw (``draw_samples``) for the norm and the uniform
-strategy, 2000 entry updates followed by the read that refreshes them, and
-single updates each followed by a read (the mean per pair over 100 pairs).
+shape it times the store build, the store filled as ``build_design`` fills
+it (``zeros``, then ``set_rows`` in ``elm.DEFAULT_BLOCK``-row blocks, then
+the first read), a P=256 row draw, 256 in-row column draws, a whole P=256
+sketch draw (``draw_samples``) for the norm and the uniform strategy, 2000
+entry updates followed by the read that refreshes them, and single updates
+each followed by a read (the mean per pair over 100 pairs).
 At the 2048 x 4096 shape it also times, for P in 50, 100 and 200 and on
 one seeded norm draw per P, the rest of the sketch stage by stage: the row
 sketch S (``build_s``), the P x P core W read off it (``build_w``), W's
@@ -33,9 +35,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_12.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_14.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_12.json
+        --out BENCH_14.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -129,6 +131,7 @@ def timed(fn, repeats: int, fresh=None) -> dict:
 
 def measure(rows: int, cols: int, repeats: int) -> dict:
     import numpy as np
+    from sketchlearn.elm import DEFAULT_BLOCK
     from sketchlearn.linalg import svd_dense, truncated_pinv
     from sketchlearn.modfkv import (
         SketchConfig, build_s, build_w, draw_samples, reconstruct,
@@ -138,6 +141,14 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
     rng = np.random.default_rng([rows, cols])
     x = rng.standard_normal((rows, cols))
     out = [("store_build", timed(lambda: SegTreeMatrix(x), repeats))]
+
+    def fill():
+        store = SegTreeMatrix.zeros(rows, cols)
+        for start in range(0, rows, DEFAULT_BLOCK):
+            store.set_rows(start, x[start : start + DEFAULT_BLOCK])
+        store.fro_norm_sq()
+
+    out.append(("store_fill", timed(fill, repeats)))
     store = SegTreeMatrix(x)
     out.append(("sample_rows", timed(lambda: store.sample_rows(rng, DRAWS), repeats)))
     out.append(("sample_cols_in_rows",

@@ -55,7 +55,8 @@ class SketchConfig:
     """Parameters of the sampled SVD.
 
     ``k`` is the target rank, ``p`` the number of row and column samples
-    (duplicates allowed, so ``p`` may exceed the matrix dimensions).
+    (duplicates allowed, so ``p`` may exceed the matrix dimensions), and
+    ``seed``, an integer >= 0, seeds the draw.
     """
 
     k: int
@@ -70,6 +71,8 @@ class SketchConfig:
             raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < self.k:
             raise ValueError(f"need k <= p, got k={self.k}, p={self.p}")
+        if not (is_number(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"

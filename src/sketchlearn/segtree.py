@@ -12,15 +12,16 @@ rows, so no per-entry structure is kept beside the raw signed entries. A
 batch of draws walks the tree with its indices and uniforms updated in
 place, and gathers each drawn block whole and squares it in place.
 
-An entry update writes the entry and marks its block stale, O(1) work with
-no numpy reduction. The next read of the sampling state refreshes all p
-pending blocks in one vectorized pass: their block sums, then the touched
-row totals, then the root paths level by level, O(64 p + p log rows). To
-find them it scans one stale flag per row, then the block flags of the t
-touched rows only, O(rows + t cols/64). After any read the store equals a
-fresh build of the same entries bitwise. The pending state is one flag per
-block and one per row, so it is bounded by the store's shape whatever the
-number of updates.
+Every write only marks what it invalidated: an entry update writes the
+entry and marks its block, O(1) with no numpy reduction; ``set_rows``
+checks its rows, writes their entries and block sums, and marks the rows.
+The next read recomputes the p marked blocks, then the t marked rows'
+totals from their block sums, then climbs the root tree once, level by
+level, O(64 p + t cols/64 + t log rows), after a scan of the row flags and
+of the marked rows' block flags. So a store filled row-block by row-block
+climbs once, at its first read, and a constructed store is ready to read.
+After any read the store equals a fresh build bitwise. The pending state,
+one flag per block and one per row, is bounded by the store's shape.
 
 Every sum of squares must be finite. ``set_rows`` raises NonFinite, and
 writes nothing, when one of its rows' block sums or totals is not (a NaN
@@ -142,14 +143,14 @@ class SegTreeMatrix:
     """Matrix store supporting norm-weighted sampling and in-place updates.
 
     Row draws cost O(log rows) and an in-row column draw O(cols/64 + 64).
-    An entry update is O(1) at the call; the next read refreshes the p
-    blocks updated since the last one in O(64 p + p log rows) vectorized
-    work, after a scan of the row flags and of the touched rows' block
-    flags. The store beside the entries is the row tree (2 pow2(rows)
-    floats), the block sums (rows x ceil(cols/64) floats) and one stale
-    flag per block and per row.
+    A write costs O(1) (``update``) or O(cols) per row (``set_rows``) at
+    the call and only marks what it invalidated; the next read refreshes
+    it in O(64 p + t cols/64 + t log rows) vectorized work (see the module
+    docstring). A constructed store is ready to read. The store beside the
+    entries is the row tree (2 pow2(rows) floats), the block sums
+    (rows x ceil(cols/64) floats) and one stale flag per block and per row.
 
-    A read may refresh pending state, so a store with pending updates must
+    A read may refresh pending state, so a store with pending writes must
     not be read from two threads at once.
     """
 
@@ -159,6 +160,8 @@ class SegTreeMatrix:
             raise EmptyMatrix(f"need a nonempty 2-D matrix, got shape {x.shape}")
         self._init_zero(x.shape[0], x.shape[1])
         self.set_rows(0, x)
+        # Ready to read; an overflowing total is left for the reads to reject.
+        self._refresh_pending()
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "SegTreeMatrix":
@@ -176,8 +179,8 @@ class SegTreeMatrix:
         self._values = np.zeros((rows, cols))
         self._blocks = np.zeros((rows, -(-cols // BLOCK)))
         self._root_nodes = np.zeros(2 * self._rpad)
-        # Blocks written by update() since the last refresh, and their rows,
-        # so a refresh scans the row flags and only the touched rows' blocks.
+        # Blocks written by update() and rows written by either writer since
+        # the last refresh, so it scans the row flags and the marked rows' blocks.
         self._stale = np.zeros(self._blocks.shape, dtype=bool)
         self._stale_rows = np.zeros(rows, dtype=bool)
         self._pending = False
@@ -190,7 +193,8 @@ class SegTreeMatrix:
         The block sums and row totals are computed before anything is
         written. A NaN or Inf entry, or squares whose sum overflows, makes
         one of them non-finite; then NonFinite is raised and the store is
-        left unchanged.
+        left unchanged. Otherwise the entries and block sums are written
+        and the rows marked: the next read computes their totals and climbs.
         """
         # C order, so the einsums below run as on the store's own rows.
         block = np.atleast_2d(np.ascontiguousarray(block, dtype=np.float64))
@@ -209,16 +213,13 @@ class SegTreeMatrix:
             tail = block[:, full * BLOCK :]
             np.einsum("rk,rk->r", tail, tail, out=sums[:, full])
         with np.errstate(over="ignore"):
-            totals = sums.sum(axis=1)
-        if not np.isfinite(totals).all():
-            raise NonFinite("block has NaN or Inf entries, or its squares overflow")
+            if not np.isfinite(sums.sum(axis=1)).all():
+                raise NonFinite("block has NaN or Inf entries, or its squares overflow")
         self._values[start:stop] = block
         self._blocks[start:stop] = sums
         self._stale[start:stop] = False
-        self._stale_rows[start:stop] = False
-        lo, hi = self._rpad + start, self._rpad + stop
-        self._root_nodes[lo:hi] = totals
-        self._refresh_ancestors(np.arange(lo, hi))
+        self._stale_rows[start:stop] = True
+        self._pending = True
 
     def update(self, i: int, j: int, v: float) -> None:
         """Set entry (i, j) to ``v`` and mark its block stale.
@@ -241,7 +242,7 @@ class SegTreeMatrix:
     def _refresh(self) -> None:
         """Bring the sampling state up to date for a read, and check it.
 
-        Pending updates are refreshed first. The row totals are
+        Pending writes are refreshed first. The row totals are
         nonnegative, so a non-finite one makes the Frobenius total
         non-finite too; a read then raises NonFinite, and never samples.
         """
@@ -251,44 +252,43 @@ class SegTreeMatrix:
             raise NonFinite("the sum of squared entries overflows")
 
     def _refresh_pending(self) -> None:
-        """Recompute every stale block sum, row total and root path at once.
+        """Recompute the marked block sums, then the marked rows' totals from
+        their block sums, then climb the root tree once, level by level.
 
-        The einsums are set_rows' own, the ragged last block at its own
-        length, so the result equals a fresh build bitwise.
+        The only writer of the root tree. The einsums are set_rows' own, so
+        the result equals a fresh build bitwise.
         """
         touched = np.flatnonzero(self._stale_rows)
         hit, blocks = np.divmod(
             np.flatnonzero(self._stale[touched]), self._blocks.shape[1]
         )
         rows = touched[hit]
-        full = self.cols // BLOCK
-        is_full = blocks < full
-        r, b = rows[is_full], blocks[is_full]
-        # A view of the full blocks, so the gather copies whole blocks.
-        body = self._values[:, : full * BLOCK].reshape(self.rows, full, BLOCK)
-        seg = body[r, b]
-        self._blocks[r, b] = np.einsum("pk,pk->p", seg, seg)
-        tail = rows[~is_full]
-        if tail.size:
-            seg = self._values[tail, full * BLOCK :]
-            self._blocks[tail, full] = np.einsum("rk,rk->r", seg, seg)
+        for at, seg in self._block_entries(rows, blocks):
+            self._blocks[rows[at], blocks[at]] = np.einsum("pk,pk->p", seg, seg)
+        root = self._root_nodes
+        k = self._rpad + touched
+        # An overflowing total becomes inf, which every read then rejects.
         with np.errstate(over="ignore"):
-            totals = self._blocks[touched].sum(axis=1)
-        self._root_nodes[self._rpad + touched] = totals
-        self._refresh_ancestors(self._rpad + touched)
+            root[k] = self._blocks[touched].sum(axis=1)
+            while k.size and k[0] > 1:
+                k = _dedupe_sorted(k >> 1)
+                root[k] = root[2 * k] + root[2 * k + 1]
         self._stale[touched] = False
         self._stale_rows[touched] = False
         self._pending = False
 
-    def _refresh_ancestors(self, k: np.ndarray) -> None:
-        """Recompute the root tree above the leaves at heap positions ``k``
-        (sorted, distinct), level by level."""
-        root = self._root_nodes
-        # An overflowing total becomes inf, which every read then rejects.
-        with np.errstate(over="ignore"):
-            while k.size and k[0] > 1:
-                k = _dedupe_sorted(k >> 1)
-                root[k] = root[2 * k] + root[2 * k + 1]
+    def _block_entries(self, rows: np.ndarray, blocks: np.ndarray):
+        """Yield ``(at, entries)``: fresh gathers of block ``blocks[at]`` of
+        row ``rows[at]``. Full blocks come whole, through a view of the full
+        blocks; then the ragged last block, at its ``cols % 64`` entries."""
+        full = self.cols // BLOCK
+        at = np.flatnonzero(blocks < full)
+        if at.size:
+            body = self._values[:, : full * BLOCK].reshape(self.rows, full, BLOCK)
+            yield at, body[rows[at], blocks[at]]
+        at = np.flatnonzero(blocks == full)
+        if at.size:
+            yield at, self._values[rows[at], full * BLOCK :]
 
     # -- accessors ---------------------------------------------------------
 
@@ -355,18 +355,9 @@ class SegTreeMatrix:
         np.cumsum(csum, axis=1, out=csum)
         b = _pick(csum, u)
         u -= np.where(b > 0, csum[np.arange(rows.size), b - 1], 0.0)
-        full = self.cols // BLOCK
         cols = b * BLOCK
-        # Draws in a full block gather it whole, through a view of the full
-        # blocks; draws in a ragged last block gather its cols % 64 entries.
-        whole = np.flatnonzero(b < full)
-        if whole.size:
-            body = self._values[:, : full * BLOCK].reshape(self.rows, full, BLOCK)
-            cols[whole] += _pick_in_block(body[rows[whole], b[whole]], u[whole])
-        ragged = np.flatnonzero(b == full)
-        if ragged.size:
-            seg = self._values[rows[ragged], full * BLOCK :]
-            cols[ragged] += _pick_in_block(seg, u[ragged])
+        for at, seg in self._block_entries(rows, b):
+            cols[at] += _pick_in_block(seg, u[at])
         return cols
 
     def sample_col_in_row(self, i: int, rng: np.random.Generator) -> int:

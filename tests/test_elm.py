@@ -34,6 +34,7 @@ from sketchlearn.errors import (
     TruncatedFile,
 )
 from sketchlearn.linalg import svd_dense, truncated_pinv
+from sketchlearn.segtree import SegTreeMatrix
 
 from oracles import central_diff_grad, pinv_apply_ridge
 
@@ -140,6 +141,18 @@ class TestBuildDesign:
         assert res.design is res.tree.dense  # one shared buffer
         np.testing.assert_allclose(
             res.tree.fro_norm_sq(), np.sum(res.design**2), rtol=1e-12
+        )
+        # After that read, the tree filled in blocks is a fresh build.
+        fresh = SegTreeMatrix(res.design)
+        np.testing.assert_array_equal(res.tree._blocks, fresh._blocks)
+        np.testing.assert_array_equal(res.tree._root_nodes, fresh._root_nodes)
+        rows = res.tree.sample_rows(np.random.default_rng(17), 40)
+        np.testing.assert_array_equal(
+            rows, fresh.sample_rows(np.random.default_rng(17), 40)
+        )
+        np.testing.assert_array_equal(
+            res.tree.sample_cols_in_rows(rows, np.random.default_rng(18)),
+            fresh.sample_cols_in_rows(rows, np.random.default_rng(18)),
         )
         assert res.featurize_s >= 0.0 and res.tree_build_s >= 0.0
 

@@ -50,6 +50,11 @@ class TestConfig:
             dict(k=True, p=20),
             dict(k=2, p=20.5),
             dict(k=1, p=True),
+            # The seed goes to default_rng: no fraction, no negative, no bool.
+            dict(k=2, p=5, seed=1.5),
+            dict(k=2, p=5, seed=-1),
+            dict(k=2, p=5, seed=True),
+            dict(k=2, p=5, seed="0"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

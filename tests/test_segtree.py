@@ -139,13 +139,27 @@ class TestUpdate:
             np.testing.assert_array_equal(c1, c2)
 
     def test_set_rows_block(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 6))
-        t = SegTreeMatrix.zeros(8, 6)
-        t.set_rows(0, x[:5])
-        t.set_rows(5, x[5:])
-        np.testing.assert_array_equal(t.to_dense(), x)
-        np.testing.assert_allclose(t.fro_norm_sq(), np.sum(x * x), rtol=1e-12)
+        # 150 columns: two full blocks and a ragged one.
+        for cols in (6, 150):
+            rng = np.random.default_rng(3)
+            x = rng.standard_normal((8, cols))
+            t = SegTreeMatrix.zeros(8, cols)
+            t.set_rows(0, x[:5])
+            t.set_rows(5, x[5:])
+            np.testing.assert_array_equal(t.to_dense(), x)
+            np.testing.assert_allclose(t.fro_norm_sq(), np.sum(x * x), rtol=1e-12)
+            # After that read, the store filled in blocks is a fresh build.
+            fresh = SegTreeMatrix(x)
+            np.testing.assert_array_equal(t._blocks, fresh._blocks)
+            np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
+            r1 = t.sample_rows(np.random.default_rng(79), 50)
+            np.testing.assert_array_equal(
+                r1, fresh.sample_rows(np.random.default_rng(79), 50)
+            )
+            np.testing.assert_array_equal(
+                t.sample_cols_in_rows(r1, np.random.default_rng(80)),
+                fresh.sample_cols_in_rows(r1, np.random.default_rng(80)),
+            )
 
     def test_bounds_and_values(self):
         t = SegTreeMatrix(np.ones((2, 2)))
@@ -259,6 +273,7 @@ class TestOverflow:
         rng = np.random.default_rng(36)
         t = SegTreeMatrix(rng.standard_normal((6, 150)))
         t.update(2, 70, 4.0)  # pending
+        t.set_rows(0, rng.standard_normal((2, 150)))  # a pending row write
         before = self.snapshot(t)
         # An entry square that overflows; NaN and Inf; two blocks with finite
         # sums (1e308 each) whose row total overflows.
