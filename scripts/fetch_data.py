@@ -1,42 +1,40 @@
 #!/usr/bin/env python3
 """Download the MNIST and CIFAR-10 files the benchmark harness reads.
 
-The library itself never downloads anything; it expects files under a data
-directory (``--data-dir`` or ``$SKETCHLEARN_DATA_DIR``) laid out as::
-
-    <data-dir>/train-images-idx3-ubyte.gz      (MNIST, gzipped IDX)
-    <data-dir>/train-labels-idx1-ubyte.gz
-    <data-dir>/t10k-images-idx3-ubyte.gz
-    <data-dir>/t10k-labels-idx1-ubyte.gz
-    <data-dir>/cifar-10-batches-bin/data_batch_{1..5}.bin
-    <data-dir>/cifar-10-batches-bin/test_batch.bin
-
-This script fills that layout. Re-runs skip files that already exist.
+The library itself never downloads anything; it reads files under a data
+directory (``--data-dir`` or ``$SKETCHLEARN_DATA_DIR``) in the layout that
+``sketchlearn.datasets`` defines (MNIST as gzipped IDX files, CIFAR-10 as
+binary batches in a subdirectory). This script fills that layout, taking
+every name from that module. Re-runs skip files that already exist. Every
+split is then read back with the library's own readers, and a file they
+reject makes the script exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import gzip
 import os
-import struct
 import sys
 import tarfile
 import tempfile
 import urllib.request
 from pathlib import Path
 
-MNIST_BASE = "https://ossci-datasets.s3.amazonaws.com/mnist/"
-MNIST_NAMES = (
-    "train-images-idx3-ubyte.gz",
-    "train-labels-idx1-ubyte.gz",
-    "t10k-images-idx3-ubyte.gz",
-    "t10k-labels-idx1-ubyte.gz",
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sketchlearn.datasets import (
+    CIFAR_FILES,
+    CIFAR_SUBDIR,
+    DATA_DIR_ENV,
+    MNIST_FILES,
+    load_cifar10,
+    load_mnist,
+    split_paths,
 )
+from sketchlearn.errors import SketchLearnError
+
+MNIST_BASE = "https://ossci-datasets.s3.amazonaws.com/mnist/"
 CIFAR_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
-CIFAR_SUBDIR = "cifar-10-batches-bin"
-CIFAR_NAMES = tuple(f"data_batch_{i}.bin" for i in range(1, 6)) + ("test_batch.bin",)
-CIFAR_RECORD = 3073
 
 
 def download(url: str, dest: Path) -> None:
@@ -51,51 +49,45 @@ def download(url: str, dest: Path) -> None:
     tmp.replace(dest)
 
 
-def check_idx_magic(path: Path) -> None:
-    with gzip.open(path, "rb") as f:
-        (magic,) = struct.unpack(">I", f.read(4))
-    if magic not in (0x803, 0x801):
-        raise SystemExit(f"{path}: unexpected IDX magic 0x{magic:x}")
-
-
 def fetch_mnist(data_dir: Path) -> None:
     data_dir.mkdir(parents=True, exist_ok=True)
-    for name in MNIST_NAMES:
-        dest = data_dir / name
-        if dest.is_file() or dest.with_suffix("").is_file():
-            print(f"have {name}, skipping")
-            continue
-        download(MNIST_BASE + name, dest)
-        check_idx_magic(dest)
+    for split, names in MNIST_FILES.items():
+        for name in names:
+            if (data_dir / name).is_file() or (data_dir / f"{name}.gz").is_file():
+                print(f"have {name}, skipping")
+            else:
+                download(f"{MNIST_BASE}{name}.gz", data_dir / f"{name}.gz")
+        raw = load_mnist(*split_paths(data_dir, split, MNIST_FILES))
+        print(f"verified MNIST {split}: {raw.count} images")
 
 
 def fetch_cifar10(data_dir: Path) -> None:
     out_dir = data_dir / CIFAR_SUBDIR
-    if all((out_dir / n).is_file() for n in CIFAR_NAMES):
+    names = {name for split in CIFAR_FILES.values() for name in split}
+    if all((out_dir / n).is_file() for n in names):
         print(f"have {CIFAR_SUBDIR}, skipping")
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "cifar-10-binary.tar.gz"
-        download(CIFAR_URL, archive)
-        with tarfile.open(archive, "r:gz") as tar:
-            for member in tar.getmembers():
-                name = os.path.basename(member.name)
-                if name not in CIFAR_NAMES or not member.isfile():
-                    continue
-                payload = tar.extractfile(member).read()
-                if len(payload) % CIFAR_RECORD != 0:
-                    raise SystemExit(f"{name}: size not a multiple of {CIFAR_RECORD}")
-                (out_dir / name).write_bytes(payload)
-                print(f"wrote {out_dir / name}")
+    else:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            archive = Path(tmp) / "archive.tar.gz"
+            download(CIFAR_URL, archive)
+            with tarfile.open(archive, "r:gz") as tar:
+                for member in tar.getmembers():
+                    name = os.path.basename(member.name)
+                    if name in names and member.isfile():
+                        (out_dir / name).write_bytes(tar.extractfile(member).read())
+                        print(f"wrote {out_dir / name}")
+    for split in CIFAR_FILES:
+        raw = load_cifar10(split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR))
+        print(f"verified CIFAR-10 {split}: {raw.count} images")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--dest",
-        default=os.environ.get("SKETCHLEARN_DATA_DIR", "data"),
-        help="target data directory (default: $SKETCHLEARN_DATA_DIR or ./data)",
+        default=os.environ.get(DATA_DIR_ENV, "data"),
+        help=f"target data directory (default: ${DATA_DIR_ENV} or ./data)",
     )
     parser.add_argument(
         "--dataset",
@@ -105,10 +97,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     dest = Path(args.dest)
-    if args.dataset in ("mnist", "all"):
-        fetch_mnist(dest)
-    if args.dataset in ("cifar10", "all"):
-        fetch_cifar10(dest)
+    try:
+        if args.dataset in ("mnist", "all"):
+            fetch_mnist(dest)
+        if args.dataset in ("cifar10", "all"):
+            fetch_cifar10(dest)
+    except SketchLearnError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"data directory ready: {dest.resolve()}")
     return 0
 

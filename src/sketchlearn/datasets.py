@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -30,8 +31,10 @@ MNIST_FILES = {
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 CIFAR_SUBDIR = "cifar-10-batches-bin"
-CIFAR_TRAIN = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
-CIFAR_TEST = ("test_batch.bin",)
+CIFAR_FILES = {
+    "train": tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
+    "test": ("test_batch.bin",),
+}
 
 
 @dataclass(frozen=True)
@@ -63,42 +66,31 @@ def _read_bytes(path) -> bytes:
     return blob
 
 
+def _read_idx(path, magic: int):
+    """Parse one IDX file into ``(dims, uint8 payload)``.
+
+    The magic's low byte is the number of big-endian uint32 dimensions that
+    follow it; the header, the magic and the payload size are all checked.
+    """
+    blob = _read_bytes(path)
+    header = 4 * (1 + (magic & 0xFF))
+    if len(blob) < header:
+        raise TruncatedFile(f"{path}: too short for an IDX header")
+    got, *dims = struct.unpack(f">{header // 4}I", blob[:header])
+    if got != magic:
+        raise BadMagic(f"{path}: magic {got:#010x}, expected {magic:#010x}")
+    if len(blob) != header + math.prod(dims):
+        raise TruncatedFile(f"{path}: {len(blob) - header} payload bytes for dims {dims}")
+    return dims, np.frombuffer(blob, dtype=np.uint8, offset=header)
+
+
 def load_mnist(images_path, labels_path) -> RawImageSet:
     """Parse an IDX image/label file pair (gzipped files are detected)."""
-    img = _read_bytes(images_path)
-    if len(img) < 16:
-        raise TruncatedFile(f"{images_path}: too short for an image header")
-    magic, count, height, width = struct.unpack(">IIII", img[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise BadMagic(
-            f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}"
-        )
-    if len(img) != 16 + count * height * width:
-        raise TruncatedFile(
-            f"{images_path}: {len(img) - 16} payload bytes for "
-            f"{count} images of {height}x{width}"
-        )
-
-    lab = _read_bytes(labels_path)
-    if len(lab) < 8:
-        raise TruncatedFile(f"{labels_path}: too short for a label header")
-    lmagic, lcount = struct.unpack(">II", lab[:8])
-    if lmagic != IDX_LABELS_MAGIC:
-        raise BadMagic(
-            f"{labels_path}: magic {lmagic:#010x}, expected {IDX_LABELS_MAGIC:#010x}"
-        )
-    if len(lab) != 8 + lcount:
-        raise TruncatedFile(f"{labels_path}: {len(lab) - 8} labels, header says {lcount}")
-    if lcount != count:
-        raise CountMismatch(f"{count} images but {lcount} labels")
-    return RawImageSet(
-        count=count,
-        height=height,
-        width=width,
-        channels=1,
-        pixels=np.frombuffer(img, dtype=np.uint8, offset=16),
-        labels=np.frombuffer(lab, dtype=np.uint8, offset=8),
-    )
+    (count, height, width), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    if label_count != count:
+        raise CountMismatch(f"{count} images but {label_count} labels")
+    return RawImageSet(count, height, width, 1, pixels, labels)
 
 
 def load_cifar10(batch_paths) -> RawImageSet:
@@ -117,21 +109,15 @@ def load_cifar10(batch_paths) -> RawImageSet:
             raise LabelOutOfRange(f"{path}: label {labels.max()} outside [0, 10)")
         label_parts.append(labels)
         pixel_parts.append(rec[:, 1:])
+    # concatenate copies, so neither array holds on to the file buffers.
     labels = np.concatenate(label_parts)
-    pixels = np.concatenate(pixel_parts)
-    return RawImageSet(
-        count=labels.shape[0],
-        height=32,
-        width=32,
-        channels=3,
-        pixels=pixels.reshape(-1).copy(),
-        labels=labels.copy(),
-    )
+    pixels = np.concatenate(pixel_parts).reshape(-1)
+    return RawImageSet(labels.shape[0], 32, 32, 3, pixels, labels)
 
 
 def normalize(raw: RawImageSet) -> Dataset:
     """Map pixel bytes to [0, 1] by /255 and flatten each image to a row."""
-    flat = raw.pixels.reshape(raw.count, -1).astype(np.float64) / 255.0
+    flat = raw.pixels.reshape(raw.count, raw.height * raw.width * raw.channels) / 255.0
     return Dataset(inputs=flat, labels=raw.labels.astype(np.int64))
 
 
@@ -193,21 +179,24 @@ def _existing(base: Path, name: str) -> Path:
     raise DatasetMissing(f"missing {name}[.gz] under {base}")
 
 
-def mnist_dataset(data_dir, split: str = "train") -> Dataset:
+def split_paths(data_dir, split: str, files: dict, subdir: str | None = None) -> list:
+    """Paths of ``files[split]`` (plain or ``.gz``) under ``data_dir`` or its ``subdir``.
+
+    An unknown split is a ValueError; no directory or a missing file is DatasetMissing.
+    """
+    if split not in files:
+        raise ValueError(f"split must be one of {tuple(files)}, got {split!r}")
     if data_dir is None:
         raise DatasetMissing(f"no data directory given (set ${DATA_DIR_ENV})")
-    images, labels = MNIST_FILES[split]
     base = Path(data_dir)
-    raw = load_mnist(_existing(base, images), _existing(base, labels))
-    return normalize(raw)
+    if subdir and (base / subdir).is_dir():
+        base = base / subdir
+    return [_existing(base, name) for name in files[split]]
+
+
+def mnist_dataset(data_dir, split: str = "train") -> Dataset:
+    return normalize(load_mnist(*split_paths(data_dir, split, MNIST_FILES)))
 
 
 def cifar10_dataset(data_dir, split: str = "train") -> Dataset:
-    if data_dir is None:
-        raise DatasetMissing(f"no data directory given (set ${DATA_DIR_ENV})")
-    base = Path(data_dir)
-    if (base / CIFAR_SUBDIR).is_dir():
-        base = base / CIFAR_SUBDIR
-    names = CIFAR_TRAIN if split == "train" else CIFAR_TEST
-    raw = load_cifar10([_existing(base, n) for n in names])
-    return normalize(raw)
+    return normalize(load_cifar10(split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR)))

@@ -88,9 +88,11 @@ def _descend(nodes: np.ndarray, u: np.ndarray, leaves: int) -> np.ndarray:
 def _index(idx, size: int, what: str):
     """Check an index into ``range(size)``: an int, or an int64 index array.
 
-    Non-integer indices raise ``TypeError``, as :func:`operator.index` does,
-    and are never truncated; out-of-range ones raise IndexOutOfRange.
+    Non-integer indices and bools raise ``TypeError`` and are never
+    truncated; out-of-range ones raise IndexOutOfRange.
     """
+    if idx is True or idx is False:  # bool has no other instances
+        raise TypeError(f"{what} index must be an integer, got {idx!r}")
     try:
         k = operator.index(idx)
     except TypeError:

@@ -24,6 +24,18 @@ from sketchlearn.elm import Dataset, init_features, train
 from sketchlearn.errors import DatasetMissing, RankDeficientSketch
 from sketchlearn.linalg import svd_dense, truncated_pinv
 
+from imagefiles import mnist_split_bytes
+
+
+@pytest.fixture
+def mnist_dir(tmp_path):
+    """A tiny MNIST layout: 40 train and 20 test images of 4x4 pixels."""
+    rng = np.random.default_rng(0)
+    for prefix, count in (("train", 40), ("t10k", 20)):
+        for name, blob in mnist_split_bytes(prefix, count, rng).items():
+            (tmp_path / name).write_bytes(blob)
+    return tmp_path
+
 
 def tiny_spec(**overrides):
     base = dict(
@@ -267,6 +279,26 @@ class TestRunExperiment:
         assert spec.data_dir == str(tmp_path)
         with pytest.raises(DatasetMissing, match=re.escape(str(tmp_path))):
             run_experiment(spec)
+
+    def test_image_dataset_split_and_subsample(self, mnist_dir, monkeypatch):
+        load = bench._load_classification
+        loaded = []
+
+        def spy(spec):
+            loaded.append(load(spec))
+            return loaded[-1]
+
+        monkeypatch.setattr(bench, "_load_classification", spy)
+        spec = tiny_spec(
+            dataset="mnist", data_dir=str(mnist_dir), m=(20,), p=(12,), seeds=(0,),
+            subsample=30,
+        )
+        report = run_experiment(spec)
+        assert report.ok and len(report.records) == 3
+        ((train, test),) = loaded
+        # 30 distinct rows of the 40 train images; the test split whole.
+        assert (train.count, test.count, train.dim) == (30, 20, 16)
+        assert len({row.tobytes() for row in train.inputs}) == 30
 
     def test_optimized_compare_runs(self):
         spec = ExperimentSpec(
@@ -520,6 +552,16 @@ class TestCli:
         assert "failed" in capsys.readouterr().err
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["accuracy"] == ""  # report still written
+
+    def test_image_dataset_from_data_dir(self, mnist_dir, tmp_path):
+        out = tmp_path / "run.json"
+        code = self.run_main(
+            "--dataset", "mnist", "--data-dir", str(mnist_dir), "--subsample", "30",
+            "--format", "json", out=out,
+        )
+        assert code == 0
+        (row,) = json.load(out.open())
+        assert row["dataset"] == "mnist" and row["error"] is None
 
     def test_missing_dataset_dir_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SKETCHLEARN_DATA_DIR", raising=False)

@@ -19,20 +19,13 @@ from sketchlearn.errors import (
     BadMagic,
     CountMismatch,
     DatasetMissing,
+    EmptyMatrix,
     LabelOutOfRange,
     RankTooLarge,
 )
 from sketchlearn.errors import TruncatedFile
 
-
-def idx_image_bytes(pixels):
-    """Big-endian IDX encoding of a (count, h, w) uint8 array."""
-    count, h, w = pixels.shape
-    return struct.pack(">IIII", 0x803, count, h, w) + pixels.tobytes()
-
-
-def idx_label_bytes(labels):
-    return struct.pack(">II", 0x801, len(labels)) + bytes(labels)
+from imagefiles import cifar_batch_bytes, idx_image_bytes, idx_label_bytes
 
 
 @pytest.fixture
@@ -89,6 +82,14 @@ class TestLoadMnist:
         header_only.write_bytes(img.read_bytes()[:10])
         with pytest.raises(TruncatedFile):
             load_mnist(header_only, lab)
+        # Label files: shorter than the header, and a payload one short of
+        # or one past the count the header gives.
+        good = lab.read_bytes()
+        bad_lab = tmp_path / "bad-labels"
+        for blob in (good[:5], good[:-1], good + b"\x00"):
+            bad_lab.write_bytes(blob)
+            with pytest.raises(TruncatedFile):
+                load_mnist(img, bad_lab)
 
     def test_count_mismatch(self, idx_pair, tmp_path):
         img, _, _, _ = idx_pair
@@ -96,16 +97,6 @@ class TestLoadMnist:
         short.write_bytes(idx_label_bytes([5]))
         with pytest.raises(CountMismatch):
             load_mnist(img, short)
-
-
-def cifar_batch_bytes(labels, rng):
-    recs = []
-    pixel_rows = []
-    for lab in labels:
-        pix = rng.integers(0, 256, size=3072, dtype=np.uint8)
-        pixel_rows.append(pix)
-        recs.append(bytes([lab]) + pix.tobytes())
-    return b"".join(recs), pixel_rows
 
 
 class TestLoadCifar10:
@@ -146,6 +137,15 @@ class TestLoadCifar10:
             load_cifar10([path])
 
 
+class TestRawImageSet:
+    def test_rejects_buffers_that_disagree_with_dims(self):
+        dims = dict(count=2, height=2, width=2, channels=1)
+        with pytest.raises(TruncatedFile):
+            RawImageSet(**dims, pixels=np.zeros(7, np.uint8), labels=np.zeros(2, np.uint8))
+        with pytest.raises(CountMismatch):
+            RawImageSet(**dims, pixels=np.zeros(8, np.uint8), labels=np.zeros(3, np.uint8))
+
+
 class TestNormalize:
     def test_endpoints_and_scaling(self):
         raw = RawImageSet(
@@ -172,6 +172,11 @@ class TestNormalize:
         assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
         order = np.argsort(pix[:4])
         np.testing.assert_array_equal(np.argsort(ds.inputs[0]), order)
+
+    def test_no_images_is_an_empty_dataset(self):
+        empty = RawImageSet(0, 2, 2, 1, np.zeros(0, np.uint8), np.zeros(0, np.uint8))
+        with pytest.raises(EmptyMatrix):
+            normalize(empty)
 
 
 class TestSynthLowrank:
@@ -236,6 +241,9 @@ class TestDiscovery:
         assert ds.count == 2
         assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
         np.testing.assert_array_equal(ds.labels, [7, 1])
+        for split in ("validation", "Train"):
+            with pytest.raises(ValueError, match="split must be one of"):
+                mnist_dataset(tmp_path, split=split)
 
     def test_cifar_dataset_missing(self, tmp_path):
         with pytest.raises(DatasetMissing):
@@ -253,3 +261,9 @@ class TestDiscovery:
         ds = cifar10_dataset(tmp_path, split="train")
         assert ds.count == 5
         assert ds.inputs.shape == (5, 3072)
+        # An unknown split is an error, not the test batches.
+        (sub / "test_batch.bin").write_bytes(cifar_batch_bytes([4], rng)[0])
+        assert cifar10_dataset(tmp_path, split="test").count == 1
+        for split in ("validation", "Train"):
+            with pytest.raises(ValueError, match="split must be one of"):
+                cifar10_dataset(tmp_path, split=split)

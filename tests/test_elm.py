@@ -29,6 +29,7 @@ from sketchlearn.errors import (
     BadMagic,
     DimensionMismatch,
     Diverged,
+    EmptyMatrix,
     LabelOutOfRange,
     NonFinite,
     TruncatedFile,
@@ -78,6 +79,19 @@ class TestInitFeatures:
             FeatureMap(a=np.ones((3, 2)), b=np.ones(2))
         with pytest.raises(NonFinite):
             FeatureMap(a=np.full((1, 1), np.nan), b=np.zeros(1))
+        # The dataset and model dataclasses check their shapes the same way.
+        mismatched = ((np.zeros((3, 2)), np.zeros(2)), (np.zeros(3), np.zeros(3)))
+        for inputs, labels in mismatched:
+            with pytest.raises(DimensionMismatch):
+                Dataset(inputs=inputs, labels=labels)
+        with pytest.raises(EmptyMatrix):
+            Dataset(inputs=np.zeros((0, 2)), labels=np.zeros(0))
+        fm = init_features(2, 3, np.random.default_rng(0))
+        for w in (np.zeros((2, 4)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                ElmModel(features=fm, w=w)
+        with pytest.raises(NonFinite):
+            ElmModel(features=fm, w=np.full((3, 2), np.nan))
 
 
 class TestFeaturize:

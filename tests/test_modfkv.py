@@ -309,6 +309,8 @@ class TestReconstruct:
         assert usable_rank(w_svd) == 1
         with pytest.raises(RankDeficientSketch):
             reconstruct(t, s, w_svd, 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            reconstruct(t, s, w_svd, 0)
 
 
 class TestModfkv:

@@ -84,6 +84,9 @@ class TestBuild:
     def test_rejects_bad_input(self):
         with pytest.raises(EmptyMatrix):
             SegTreeMatrix(np.zeros((0, 2)))
+        for rows, cols in ((0, 5), (5, 0)):
+            with pytest.raises(EmptyMatrix):
+                SegTreeMatrix.zeros(rows, cols)
         with pytest.raises(NonFinite):
             SegTreeMatrix(np.array([[np.inf, 1.0]]))
 
@@ -192,7 +195,9 @@ class TestIndexValidation:
     def test_each_method(self):
         t = SegTreeMatrix(np.ones((2, 3)))
         for name, call in self.calls(t, np.random.default_rng(0)).items():
-            for i, j in ((1.7, 0), (1.0, 0), (np.float64(1.0), 0)):
+            for i, j in (
+                (1.7, 0), (1.0, 0), (np.float64(1.0), 0), (True, 0), (False, 0),
+            ):
                 with pytest.raises(TypeError):
                     call(i, j)
             for i, j in ((2, 0), (-1, 0)):
@@ -201,8 +206,9 @@ class TestIndexValidation:
             call(np.int64(1), np.int32(2))
             call(1, 2)
             if name in ("get", "update"):
-                with pytest.raises(TypeError):
-                    call(0, 2.5)
+                for j in (2.5, True):
+                    with pytest.raises(TypeError):
+                        call(0, j)
                 for j in (3, -1):
                     with pytest.raises(IndexOutOfRange):
                         call(0, j)
@@ -224,6 +230,7 @@ class TestIndexValidation:
         stale, stale_rows = t._stale.copy(), t._stale_rows.copy()
         bad = (
             (1.5, 0, 1.0, TypeError), (0, 2.5, 1.0, TypeError),
+            (True, 0, 1.0, TypeError), (0, False, 1.0, TypeError),
             (13, 0, 1.0, IndexOutOfRange), (0, 150, 1.0, IndexOutOfRange),
             (3, 5, np.nan, NonFinite), (3, 5, 1e400, NonFinite),
             (3, 5, -np.inf, NonFinite),
@@ -285,6 +292,10 @@ class TestOverflow:
         for block in bad:
             with pytest.raises(NonFinite):
                 t.set_rows(3, block)
+            self.assert_unchanged(t, before)
+        for width in (149, 151):  # a block of the wrong width
+            with pytest.raises(IndexOutOfRange):
+                t.set_rows(3, np.ones((2, width)))
             self.assert_unchanged(t, before)
         x = t.to_dense()
         fresh = SegTreeMatrix(x)
