@@ -6,8 +6,9 @@ directory (``--data-dir`` or ``$SKETCHLEARN_DATA_DIR``) in the layout that
 ``sketchlearn.datasets`` defines (MNIST as gzipped IDX files, CIFAR-10 as
 binary batches in a subdirectory). This script fills that layout, taking
 every name from that module. Re-runs skip files that already exist. Every
-split is then read back with the library's own readers, and a file they
-reject makes the script exit 1.
+split is then read back with the library's own readers. A file they reject
+makes the script exit 1, and that split's files are moved aside to
+``<name>.rejected``, so a rerun downloads them again.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ def download(url: str, dest: Path) -> None:
     tmp.replace(dest)
 
 
+def verified(paths: list, load):
+    """Return ``load()``; if it rejects a file, move every path aside."""
+    try:
+        return load()
+    except SketchLearnError:
+        for path in paths:
+            aside = path.with_name(path.name + ".rejected")
+            path.replace(aside)
+            print(f"moved {path} to {aside}", file=sys.stderr)
+        raise
+
+
 def fetch_mnist(data_dir: Path) -> None:
     data_dir.mkdir(parents=True, exist_ok=True)
     for split, names in MNIST_FILES.items():
@@ -57,7 +70,8 @@ def fetch_mnist(data_dir: Path) -> None:
                 print(f"have {name}, skipping")
             else:
                 download(f"{MNIST_BASE}{name}.gz", data_dir / f"{name}.gz")
-        raw = load_mnist(*split_paths(data_dir, split, MNIST_FILES))
+        paths = split_paths(data_dir, split, MNIST_FILES)
+        raw = verified(paths, lambda: load_mnist(*paths))
         print(f"verified MNIST {split}: {raw.count} images")
 
 
@@ -78,7 +92,8 @@ def fetch_cifar10(data_dir: Path) -> None:
                         (out_dir / name).write_bytes(tar.extractfile(member).read())
                         print(f"wrote {out_dir / name}")
     for split in CIFAR_FILES:
-        raw = load_cifar10(split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR))
+        paths = split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR)
+        raw = verified(paths, lambda: load_cifar10(paths))
         print(f"verified CIFAR-10 {split}: {raw.count} images")
 
 

@@ -22,13 +22,11 @@ from .elm import (
     OptimizerConfig,
     build_design,
     evaluate,
-    featurize,
     featurize_batch,
     init_features,
     load_model,
     onehot,
     optimize_features,
-    predict,
     predict_batch,
     save_model,
     squared_loss,
@@ -76,13 +74,11 @@ __all__ = [
     "OptimizerConfig",
     "build_design",
     "evaluate",
-    "featurize",
     "featurize_batch",
     "init_features",
     "load_model",
     "onehot",
     "optimize_features",
-    "predict",
     "predict_batch",
     "save_model",
     "squared_loss",

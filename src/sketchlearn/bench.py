@@ -1,7 +1,7 @@
 """Experiment harness: parameter sweeps, per-stage timing, CSV/JSON reports.
 
 Each sweep point owns RNG streams derived from its own parameters, so
-reports are reproducible regardless of execution order or worker count.
+reports are reproducible regardless of execution order.
 A failing point is captured as an error record; sibling points still run.
 """
 
@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 
@@ -302,19 +301,19 @@ def _points(spec: ExperimentSpec) -> list:
     return points
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunReport:
+def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Run every point of the sweep; never aborts on a single point failure.
 
-    Records are sorted canonically by point parameters, so the report is
-    independent of completion order even with ``jobs > 1``.
+    Records are sorted canonically by point parameters (``_points`` lists
+    strategy before ``p``, so the sort reorders them).
     """
     matrix_mode = _is_matrix_mode(spec)
     if matrix_mode:
         train = test = None
     else:
         train, test = _load_classification(spec)
-
-    def run_one(rec: RunRecord) -> RunRecord:
+    records = _points(spec)
+    for rec in records:
         try:
             if matrix_mode:
                 _run_matrix_point(spec, rec)
@@ -322,14 +321,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunReport:
                 _run_classification_point(spec, rec, train, test)
         except Exception as exc:  # recorded, sweep continues
             rec.error = f"{type(exc).__name__}: {exc}"
-        return rec
-
-    points = _points(spec)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, points))
-    else:
-        records = [run_one(rec) for rec in points]
     records.sort(key=lambda r: (r.kind, r.dataset, r.m, r.k, r.p, r.strategy, r.seed))
     return RunReport(spec=spec, records=records)
 

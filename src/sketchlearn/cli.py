@@ -41,7 +41,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="feature-optimization learning rate")
     ap.add_argument("--epochs", type=int, help="feature-optimization epochs")
     ap.add_argument("--batch-size", type=int, help="minibatch size (default full batch)")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
     ap.add_argument("--out", default="-", help="report path, - for stdout")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     return ap
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_experiment(spec, jobs=args.jobs)
+        report = run_experiment(spec)
         emit_report(report, args.format, args.out)
     except (SketchLearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

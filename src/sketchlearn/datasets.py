@@ -94,7 +94,10 @@ def load_mnist(images_path, labels_path) -> RawImageSet:
 
 
 def load_cifar10(batch_paths) -> RawImageSet:
-    """Parse CIFAR-10 binary batches: 3073-byte records, label byte first."""
+    """Parse CIFAR-10 binary batches: 3073-byte records, label byte first.
+
+    An empty list of batches is DatasetMissing.
+    """
     pixel_parts = []
     label_parts = []
     for path in batch_paths:
@@ -109,6 +112,8 @@ def load_cifar10(batch_paths) -> RawImageSet:
             raise LabelOutOfRange(f"{path}: label {labels.max()} outside [0, 10)")
         label_parts.append(labels)
         pixel_parts.append(rec[:, 1:])
+    if not label_parts:
+        raise DatasetMissing("no CIFAR-10 batch files given")
     # concatenate copies, so neither array holds on to the file buffers.
     labels = np.concatenate(label_parts)
     pixels = np.concatenate(pixel_parts).reshape(-1)

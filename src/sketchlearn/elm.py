@@ -141,16 +141,6 @@ def _features(a, b, xs, out=None) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def featurize(fm: FeatureMap, x) -> np.ndarray:
-    """phi(x) with phi_i = max(0, a_i . x + b_i)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fm.input_dim,):
-        raise DimensionMismatch(
-            f"input of length {fm.input_dim} required, got shape {x.shape}"
-        )
-    return _features(fm.a, fm.b, x[None, :])[0]
-
-
 def featurize_batch(
     fm: FeatureMap, xs, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -232,17 +222,11 @@ def train(
     return ElmModel(features=fm, w=apply_factors(pinv, onehot(ds, n_classes)))
 
 
-def scores(model: ElmModel, x) -> np.ndarray:
-    return featurize(model.features, x) @ model.w
-
-
-def predict(model: ElmModel, x) -> int:
-    """Argmax class score; ties resolve to the smallest label index."""
-    return int(np.argmax(scores(model, x)))
-
-
 def predict_batch(model: ElmModel, xs) -> np.ndarray:
-    """Predicted labels, featurizing ``DEFAULT_BLOCK`` rows at a time into one buffer."""
+    """Argmax class score per row; ties resolve to the smallest label index.
+
+    Featurizes ``DEFAULT_BLOCK`` rows at a time into one buffer.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(len(xs), dtype=np.int64)
     phi = np.empty((min(DEFAULT_BLOCK, len(xs)), model.features.m))
@@ -258,18 +242,22 @@ def evaluate(model: ElmModel, ds: Dataset) -> float:
     return float(np.mean(predict_batch(model, ds.inputs) == ds.labels))
 
 
+def _residual(phi, w, y):
+    """The residual ``r = y - phi @ w`` and the squared loss ``sum(r * r)``."""
+    r = y - phi @ w
+    return r, float((r * r).sum())
+
+
 def squared_loss(model: ElmModel, ds: Dataset) -> float:
     """Sum over points and classes of (onehot - score)^2."""
     y = onehot(ds, model.n_classes)
     phi = featurize_batch(model.features, ds.inputs)
-    r = y - phi @ model.w
-    return float((r * r).sum())
+    return _residual(phi, model.w, y)[1]
 
 
 def _loss_and_grads(a, b, w, xs, y):
     phi = _features(a, b, xs)
-    r = y - phi @ w
-    loss = float((r * r).sum())
+    r, loss = _residual(phi, w, y)
     # dLoss/dz; the relu subgradient at exactly 0 is taken as 0, and
     # phi > 0 exactly where the preactivation is.
     g = -2.0 * (r @ w.T) * (phi > 0.0)
@@ -298,8 +286,7 @@ def optimize_features(
     lr = opt.learning_rate
 
     def full_loss():
-        r = y - _features(a, b, xs) @ w
-        return float((r * r).sum())
+        return _residual(_features(a, b, xs), w, y)[1]
 
     loss0 = full_loss()
     best_loss, best_a, best_b = loss0, a.copy(), b.copy()

@@ -319,9 +319,6 @@ class SegTreeMatrix:
         """The stored signed entries. Treat as read-only; mutate via update."""
         return self._values
 
-    def to_dense(self) -> np.ndarray:
-        return self._values.copy()
-
     # -- sampling ----------------------------------------------------------
 
     def sample_rows(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -333,9 +330,6 @@ class SegTreeMatrix:
         u = rng.random(size)
         u *= total
         return _descend(self._root_nodes, u, self._rpad)
-
-    def sample_row(self, rng: np.random.Generator) -> int:
-        return int(self.sample_rows(rng, 1)[0])
 
     def sample_cols_in_rows(
         self, rows, rng: np.random.Generator
@@ -361,6 +355,3 @@ class SegTreeMatrix:
         for at, seg in self._block_entries(rows, b):
             cols[at] += _pick_in_block(seg, u[at])
         return cols
-
-    def sample_col_in_row(self, i: int, rng: np.random.Generator) -> int:
-        return int(self.sample_cols_in_rows(np.array([i]), rng)[0])

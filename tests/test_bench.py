@@ -130,9 +130,9 @@ class TestRunExperiment:
         assert all(r.tree_build_s > 0.0 for r in by_strategy["norm"])
         assert all(r.tree_build_s == 0.0 for r in by_strategy["uniform"])
 
-    def test_deterministic_across_runs_and_jobs(self):
+    def test_deterministic_across_runs(self):
         # Every field but the timings (accuracy, error, sampled_col_norms
-        # and the point's parameters) must not depend on the worker count.
+        # and the point's parameters) must repeat from run to run.
         sampled_norms = tiny_spec(
             kind="sampled-norms", m=(30,), p=(12,), seeds=(0,), epochs=2,
         )
@@ -140,11 +140,11 @@ class TestRunExperiment:
             runs = [
                 [
                     {k: v for k, v in asdict(r).items() if not k.endswith("_s")}
-                    for r in run_experiment(spec, jobs=jobs).records
+                    for r in run_experiment(spec).records
                 ]
-                for jobs in (1, 1, 2)
+                for _ in range(2)
             ]
-            assert runs[0] == runs[1] == runs[2]
+            assert runs[0] == runs[1]
 
     def test_seed_changes_sketch_result(self):
         report = run_experiment(tiny_spec(strategies=("norm",)))
@@ -463,6 +463,16 @@ class TestCli:
         assert len(rows) == 1
         assert rows[0]["strategy"] == "norm"
         assert 0.0 <= float(rows[0]["accuracy"]) <= 1.0
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        # Sweep points run one after another; the flag is an unknown option.
+        out = tmp_path / "run.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_main("--jobs", "2", out=out)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+        assert self.run_main(out=out) == 0
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"

@@ -136,6 +136,10 @@ class TestLoadCifar10:
         with pytest.raises(LabelOutOfRange):
             load_cifar10([path])
 
+    def test_no_batches_is_dataset_missing(self):
+        with pytest.raises(DatasetMissing, match="no CIFAR-10 batch files"):
+            load_cifar10([])
+
 
 class TestRawImageSet:
     def test_rejects_buffers_that_disagree_with_dims(self):

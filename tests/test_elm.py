@@ -11,17 +11,14 @@ from sketchlearn.elm import (
     OptimizerConfig,
     build_design,
     evaluate,
-    featurize,
     featurize_batch,
     infer_classes,
     init_features,
     load_model,
     onehot,
     optimize_features,
-    predict,
     predict_batch,
     save_model,
-    scores,
     squared_loss,
     train,
 )
@@ -97,23 +94,25 @@ class TestInitFeatures:
 class TestFeaturize:
     def test_hand_case(self):
         fm = FeatureMap(a=np.array([[1.0, 1.0]]), b=np.array([0.0]))
-        assert featurize(fm, np.array([0.5, 0.5]))[0] == 1.0
+        assert featurize_batch(fm, np.array([[0.5, 0.5]]))[0, 0] == 1.0
 
     def test_zero_input_returns_offsets(self):
         fm = init_features(6, 9, np.random.default_rng(3))
-        np.testing.assert_array_equal(featurize(fm, np.zeros(6)), fm.b)
+        np.testing.assert_array_equal(featurize_batch(fm, np.zeros((1, 6)))[0], fm.b)
 
     def test_linear_in_the_init_regime(self):
         # Nonnegative weights, offsets, and inputs keep every unit active,
         # so the map reduces to the affine part exactly.
         fm = init_features(4, 12, np.random.default_rng(4))
         x = np.random.default_rng(5).random(4)
-        np.testing.assert_array_equal(featurize(fm, x), fm.a @ x + fm.b)
+        np.testing.assert_array_equal(
+            featurize_batch(fm, x[None, :])[0], fm.a @ x + fm.b
+        )
 
     def test_clamps_negative_preactivation(self):
         fm = FeatureMap(a=np.array([[-1.0]]), b=np.array([0.2]))
-        assert featurize(fm, np.array([0.9]))[0] == 0.0
-        assert featurize(fm, np.array([0.1]))[0] == pytest.approx(0.1)
+        assert featurize_batch(fm, np.array([[0.9]]))[0, 0] == 0.0
+        assert featurize_batch(fm, np.array([[0.1]]))[0, 0] == pytest.approx(0.1)
 
     def test_batch_matches_single(self):
         fm = init_features(5, 8, np.random.default_rng(6))
@@ -121,8 +120,8 @@ class TestFeaturize:
         batch = featurize_batch(fm, xs)
         for i in range(10):
             # identical up to BLAS summation order
-            np.testing.assert_allclose(batch[i], featurize(fm, xs[i]),
-                                       rtol=1e-12, atol=1e-14)
+            single = featurize_batch(fm, xs[i][None, :])[0]
+            np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-14)
 
     def test_out_receives_the_rows(self):
         fm = init_features(5, 8, np.random.default_rng(6))
@@ -133,10 +132,9 @@ class TestFeaturize:
 
     def test_dimension_mismatch(self):
         fm = init_features(3, 4, np.random.default_rng(8))
-        with pytest.raises(DimensionMismatch):
-            featurize(fm, np.zeros(5))
-        with pytest.raises(DimensionMismatch):
-            featurize_batch(fm, np.zeros((2, 5)))
+        for xs in (np.zeros((1, 5)), np.zeros((2, 5)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                featurize_batch(fm, xs)
 
 
 class TestBuildDesign:
@@ -145,7 +143,7 @@ class TestBuildDesign:
         ds = Dataset(inputs=np.random.default_rng(10).random((1, 3)),
                      labels=np.zeros(1, dtype=np.int64))
         res = build_design(fm, ds)
-        np.testing.assert_array_equal(res.design[0], featurize(fm, ds.inputs[0]))
+        np.testing.assert_array_equal(res.design, featurize_batch(fm, ds.inputs))
 
     def test_tree_consistency(self, monkeypatch):
         fm = init_features(4, 10, np.random.default_rng(11))
@@ -263,7 +261,7 @@ class TestTrain:
 
 
 def identity_model(d):
-    """Features equal to the input coordinates; scores(x) = x."""
+    """Features equal to the input coordinates; the class scores of x are x."""
     fm = FeatureMap(a=np.eye(d), b=np.zeros(d))
     return ElmModel(features=fm, w=np.eye(d))
 
@@ -271,11 +269,11 @@ def identity_model(d):
 class TestPredict:
     def test_argmax_of_scores(self):
         model = identity_model(3)
-        assert predict(model, np.array([0.1, 0.9, 0.3])) == 1
+        assert predict_batch(model, np.array([[0.1, 0.9, 0.3]]))[0] == 1
 
     def test_tie_takes_smallest_label(self):
         model = identity_model(2)
-        assert predict(model, np.array([0.4, 0.4])) == 0
+        assert predict_batch(model, np.array([[0.4, 0.4]]))[0] == 0
 
     def test_scores_match_manual_loop(self):
         rng = np.random.default_rng(23)
@@ -283,9 +281,9 @@ class TestPredict:
         model = ElmModel(features=fm, w=rng.standard_normal((6, 3)))
         for _ in range(20):
             x = rng.random(4)
-            phi = featurize(fm, x)
+            phi = np.maximum(fm.a @ x + fm.b, 0.0)
             expected = [float(phi @ model.w[:, l]) for l in range(3)]
-            np.testing.assert_allclose(scores(model, x), expected, atol=1e-12)
+            assert predict_batch(model, x[None, :])[0] == np.argmax(expected)
 
     def test_batch_matches_single(self, monkeypatch):
         rng = np.random.default_rng(24)
@@ -294,7 +292,9 @@ class TestPredict:
         xs = rng.random((30, 3))
         monkeypatch.setattr(elm, "DEFAULT_BLOCK", 7)
         batch = predict_batch(model, xs)
-        np.testing.assert_array_equal(batch, [predict(model, x) for x in xs])
+        np.testing.assert_array_equal(
+            batch, [predict_batch(model, x[None, :])[0] for x in xs]
+        )
 
     def test_batch_holds_one_feature_block(self, monkeypatch):
         """predict_batch featurizes into one DEFAULT_BLOCK x M buffer, so its
@@ -355,7 +355,7 @@ class TestSquaredLoss:
         y = onehot(ds, 3)
         total = 0.0
         for i in range(6):
-            s = scores(model, ds.inputs[i])
+            s = featurize_batch(fm, ds.inputs[i][None, :])[0] @ model.w
             for l in range(3):
                 total += (y[i, l] - s[l]) ** 2
         assert squared_loss(model, ds) == pytest.approx(total, rel=1e-9)

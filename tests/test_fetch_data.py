@@ -74,3 +74,12 @@ class TestFetchData:
         monkeypatch.setattr(fetch_data, "download", stub_download([], corrupt))
         assert fetch_data.main(["--dest", str(tmp_path), "--dataset", "mnist"]) == 1
         assert "magic 0x00000803, expected 0x00000801" in capsys.readouterr().err
+        # The rejected split is moved aside, so a rerun downloads it again.
+        assert (tmp_path / "train-labels-idx1-ubyte.gz.rejected").is_file()
+        fetched = []
+        monkeypatch.setattr(fetch_data, "download", stub_download(fetched))
+        assert fetch_data.main(["--dest", str(tmp_path), "--dataset", "mnist"]) == 0
+        # The first run stopped at the train split, before any test file.
+        assert len(fetched) == 4
+        assert fetched[:2] == ["train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz"]
+        assert mnist_dataset(tmp_path, "train").count == 6

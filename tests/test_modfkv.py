@@ -312,6 +312,16 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="k must be >= 1"):
             reconstruct(t, s, w_svd, 0)
 
+    def test_direction_in_null_space_rejected(self):
+        # Column 1 of X is zero and the sketch's one row sits on it, so the
+        # lifted direction is e_1 and X v = 0.
+        t = SegTreeMatrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        s = np.array([[0.0, 3.0]])
+        w_svd = svd_dense(np.array([[3.0]]))
+        assert usable_rank(w_svd) == 1
+        with pytest.raises(RankDeficientSketch, match="null space"):
+            reconstruct(t, s, w_svd, 1)
+
 
 class TestModfkv:
     def test_identity_with_full_coverage_seed(self):

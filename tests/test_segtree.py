@@ -70,11 +70,11 @@ class TestBuild:
             t.row_norm_sq(np.arange(50)), np.sum(x * x, axis=1), rtol=1e-12
         )
 
-    def test_to_dense_round_trip(self):
+    def test_dense_copy_round_trip(self):
         x = np.random.default_rng(1).standard_normal((5, 9))
         t = SegTreeMatrix(x)
-        np.testing.assert_array_equal(t.to_dense(), x)
-        assert t.to_dense() is not t.dense  # defensive copy
+        np.testing.assert_array_equal(t.dense.copy(), x)
+        assert t.dense is not x  # the store owns its entries
 
     def test_zeros_constructor(self):
         t = SegTreeMatrix.zeros(3, 4)
@@ -127,7 +127,7 @@ class TestUpdate:
             # Block sums, row totals and parents are always recomputed from
             # their parts, so after a read has refreshed the pending blocks
             # the internal arrays agree bitwise with a from-scratch build.
-            np.testing.assert_array_equal(t.to_dense(), fresh.to_dense())
+            np.testing.assert_array_equal(t.dense, fresh.dense)
             assert t.fro_norm_sq() == fresh.fro_norm_sq()
             np.testing.assert_array_equal(t._blocks, fresh._blocks)
             np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
@@ -149,7 +149,7 @@ class TestUpdate:
             t = SegTreeMatrix.zeros(8, cols)
             t.set_rows(0, x[:5])
             t.set_rows(5, x[5:])
-            np.testing.assert_array_equal(t.to_dense(), x)
+            np.testing.assert_array_equal(t.dense, x)
             np.testing.assert_allclose(t.fro_norm_sq(), np.sum(x * x), rtol=1e-12)
             # After that read, the store filled in blocks is a fresh build.
             fresh = SegTreeMatrix(x)
@@ -188,7 +188,7 @@ class TestIndexValidation:
             "update": lambda i, j: t.update(i, j, 1.0),
             "row_norm_sq": lambda i, j: t.row_norm_sq(i),
             "sample_cols_in_rows": lambda i, j: t.sample_cols_in_rows(np.array([i]), rng),
-            "sample_col_in_row": lambda i, j: t.sample_col_in_row(i, rng),
+            "sample_cols_in_rows (scalar)": lambda i, j: t.sample_cols_in_rows(i, rng),
             "set_rows": lambda i, j: t.set_rows(i, np.ones((1, 3))),
         }
 
@@ -297,7 +297,7 @@ class TestOverflow:
             with pytest.raises(IndexOutOfRange):
                 t.set_rows(3, np.ones((2, width)))
             self.assert_unchanged(t, before)
-        x = t.to_dense()
+        x = t.dense.copy()
         fresh = SegTreeMatrix(x)
         assert t.fro_norm_sq() == fresh.fro_norm_sq()
         np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
@@ -398,7 +398,7 @@ class TestInterleaving:
                     t.update(i, j, 0.0)
                 x[i] = 0.0
                 with pytest.raises(ZeroRow):
-                    t.sample_col_in_row(i, np.random.default_rng(step))
+                    t.sample_cols_in_rows(np.array([i]), np.random.default_rng(step))
                 self.check_equals_fresh(t, x, step)
             else:
                 self.check_equals_fresh(t, x, step)
@@ -473,8 +473,8 @@ class TestRowSampling:
     def test_scalar_matches_batch(self):
         t = SegTreeMatrix(np.random.default_rng(6).random((10, 4)) + 0.1)
         batch = t.sample_rows(np.random.default_rng(9), 1)
-        single = t.sample_row(np.random.default_rng(9))
-        assert single == batch[0]
+        longer = t.sample_rows(np.random.default_rng(9), 5)
+        assert batch.shape == (1,) and batch[0] == longer[0]
 
     def test_empty_draw(self):
         t = SegTreeMatrix(np.eye(2))
@@ -596,13 +596,13 @@ class TestColumnSampling:
         batch = t.sample_cols_in_rows(
             np.array([2], dtype=np.int64), np.random.default_rng(13)
         )
-        single = t.sample_col_in_row(2, np.random.default_rng(13))
-        assert single == batch[0]
+        single = t.sample_cols_in_rows(2, np.random.default_rng(13))
+        assert single.shape == (1,) and single[0] == batch[0]
 
     def test_zero_row_rejected(self):
         t = SegTreeMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ZeroRow):
-            t.sample_col_in_row(1, np.random.default_rng(0))
+            t.sample_cols_in_rows(np.array([1]), np.random.default_rng(0))
         with pytest.raises(ZeroRow):
             t.sample_cols_in_rows(
                 np.array([0, 1], dtype=np.int64), np.random.default_rng(0)
@@ -611,7 +611,7 @@ class TestColumnSampling:
     def test_row_index_validated(self):
         t = SegTreeMatrix(np.eye(2))
         with pytest.raises(IndexOutOfRange):
-            t.sample_col_in_row(4, np.random.default_rng(0))
+            t.sample_cols_in_rows(np.array([4]), np.random.default_rng(0))
 
 
 class TestStoreSize:
