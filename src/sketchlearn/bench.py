@@ -81,9 +81,9 @@ class ExperimentSpec:
     strategies: tuple = ("norm", "uniform")
     seeds: tuple = (0,)
     subsample: int | None = None
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    batch_size: int | None = None
+    learning_rate: float = elm.OptimizerConfig.learning_rate
+    epochs: int = elm.OptimizerConfig.epochs
+    batch_size: int | None = elm.OptimizerConfig.batch_size
     data_dir: str | None = None
 
     def __post_init__(self):

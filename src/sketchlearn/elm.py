@@ -315,8 +315,9 @@ def optimize_features(
                 a -= lr * ga
                 b -= lr * gb
             check_and_keep(full_loss(), epoch)
-    final = full_loss()
-    if final < best_loss:
+    # A minibatch epoch ends by checking the full loss, so only the full
+    # batch leaves its last step's parameters unevaluated.
+    if batch == d and full_loss() < best_loss:
         best_a, best_b = a, b
     return FeatureMap(a=best_a, b=best_b)
 

@@ -32,7 +32,7 @@ pseudo-inverse uses too.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,13 +184,7 @@ def build_w(s: np.ndarray, d: SampleDraw) -> np.ndarray:
     return s.take(d.col_idx, axis=1) / np.sqrt(d.p * d.col_prob)
 
 
-def reconstruct(
-    t,
-    s: np.ndarray,
-    w_svd: LowRankFactors,
-    k: int,
-    reduced: bool = False,
-) -> LowRankFactors:
+def reconstruct(t, s: np.ndarray, w_svd: LowRankFactors, k: int) -> LowRankFactors:
     """Lift the top-``k`` triplets of the core SVD back to full-size factors.
 
     ``s`` is the row sketch of :func:`build_s` that the core was read off.
@@ -223,7 +217,7 @@ def reconstruct(
     sigma = sigma[order]
     v = v[:, order]
     u = xv[:, order] / sigma
-    return LowRankFactors(sigma=sigma, u=u, v=v, reduced=reduced)
+    return LowRankFactors(sigma=sigma, u=u, v=v)
 
 
 def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
@@ -244,13 +238,11 @@ def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
     usable = usable_rank(w_svd)
     if usable == 0:
         raise RankDeficientSketch("core matrix has no usable singular values")
-    k = cfg.k
-    reduced = usable < k
-    if reduced:
-        warnings.warn(
-            f"sketch rank {usable} below requested {k}; returning reduced factors",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        k = usable
-    return reconstruct(t, s, w_svd, k, reduced=reduced)
+    if usable >= cfg.k:
+        return reconstruct(t, s, w_svd, cfg.k)
+    warnings.warn(
+        f"sketch rank {usable} below requested {cfg.k}; returning reduced factors",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return replace(reconstruct(t, s, w_svd, usable), reduced=True)

@@ -20,7 +20,7 @@ from sketchlearn.bench import (
     run_experiment,
 )
 from sketchlearn.cli import main
-from sketchlearn.elm import Dataset, init_features, train
+from sketchlearn.elm import Dataset, OptimizerConfig, init_features, train
 from sketchlearn.errors import DatasetMissing, RankDeficientSketch
 from sketchlearn.linalg import svd_dense, truncated_pinv
 
@@ -53,6 +53,9 @@ def tiny_spec(**overrides):
 
 
 class TestSpecValidation:
+    def test_optimizer_defaults_are_the_optimizers(self):
+        assert ExperimentSpec(kind="compare-sampling").optimizer == OptimizerConfig()
+
     def test_coerces_lists_to_tuples(self):
         spec = ExperimentSpec(kind="compare-sampling", m=[10], seeds=[0, 1])
         assert spec.m == (10,)

@@ -510,6 +510,28 @@ class TestOptimizeFeatures:
         np.testing.assert_array_equal(o1.a, o2.a)
         np.testing.assert_array_equal(o1.b, o2.b)
 
+    @pytest.mark.parametrize("batch_size, closing", [(4, 0), (None, 1)])
+    def test_full_set_featurized_once_per_epoch(self, monkeypatch, batch_size, closing):
+        # One full-set loss at the start and one per epoch; only the full
+        # batch, whose epochs check the loss before their step, evaluates
+        # the last step's parameters once more at the end.
+        rng = np.random.default_rng(33)
+        fm = init_features(3, 5, rng)
+        ds = toy_dataset(rng, count=10)
+        model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
+        full_set = []
+        features = elm._features
+
+        def counting(a, b, xs, out=None):
+            full_set.append(len(xs) == ds.count)
+            return features(a, b, xs, out=out)
+
+        monkeypatch.setattr(elm, "_features", counting)
+        epochs = 5
+        opt = OptimizerConfig(learning_rate=1e-3, epochs=epochs, batch_size=batch_size)
+        optimize_features(model, ds, opt, np.random.default_rng(3))
+        assert sum(full_set) == epochs + 1 + closing
+
     def test_diverged_on_huge_step(self):
         rng = np.random.default_rng(34)
         fm = init_features(3, 5, rng)
