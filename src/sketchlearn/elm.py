@@ -6,6 +6,11 @@ so the M x L output weights solve W = pinv(design) @ onehot (D x L). A
 gradient loop over a_i, b_i with the output weights frozen sharpens the
 feature map; re-solving the output weights afterwards completes the
 optimized pipeline.
+
+Every dataset here has inputs in [0, 1], and a_i, b_i start >= 0, so every
+pre-activation a_i . x + b_i is >= 0 and the ReLU clips nothing until the
+optimizer moves a parameter below zero. The unoptimized design is thus
+affine in the inputs, of rank at most d + 1.
 """
 
 from __future__ import annotations

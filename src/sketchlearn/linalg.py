@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     EmptyMatrix,
     NonFinite,
+    is_number,
 )
 
 DEFAULT_RCOND = 1e-12
@@ -92,8 +93,8 @@ def truncated_pinv(f: LowRankFactors, k: int) -> LowRankFactors:
     and V swap so the result maps the codomain back to the domain. Raises
     :class:`AllSingularValuesFiltered` when nothing survives the floor.
     """
-    if k < 1:
-        raise ValueError(f"rank must be >= 1, got {k}")
+    if not (is_number(k) and k >= 1):
+        raise ValueError(f"rank must be >= 1 and an integer, got {k!r}")
     u, sigma, v = f.u, f.sigma, f.v
     kept = min(k, usable_rank(f))
     if kept == 0:

@@ -198,8 +198,8 @@ def reconstruct(t, s: np.ndarray, w_svd: LowRankFactors, k: int) -> LowRankFacto
     Requires ``k`` usable singular values (:func:`usable_rank`); use
     :func:`modfkv` for the warn-and-reduce behavior.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not (is_number(k) and k >= 1):
+        raise ValueError(f"k must be >= 1 and an integer, got {k!r}")
     usable = usable_rank(w_svd)
     if usable < k:
         raise RankDeficientSketch(

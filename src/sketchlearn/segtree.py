@@ -13,7 +13,8 @@ batch of draws walks the tree with its indices and uniforms updated in
 place, and gathers each drawn block whole and squares it in place.
 
 Every write only marks what it invalidated: an entry update writes the
-entry and marks its block, O(1) with no numpy reduction; ``set_rows``
+entry and marks its block and row through flat views of the store's
+buffers, O(1) with no numpy call; ``set_rows``
 checks its rows, writes their entries and block sums, and marks the rows.
 The next read recomputes the p marked blocks, then the t marked rows'
 totals from their block sums, then climbs the root tree once, level by
@@ -179,13 +180,30 @@ class SegTreeMatrix:
         self.cols = cols
         self._rpad = _pow2_at_least(rows)
         self._values = np.zeros((rows, cols))
-        self._blocks = np.zeros((rows, -(-cols // BLOCK)))
+        self._nblocks = -(-cols // BLOCK)
+        self._blocks = np.zeros((rows, self._nblocks))
         self._root_nodes = np.zeros(2 * self._rpad)
         # Blocks written by update() and rows written by either writer since
         # the last refresh, so it scans the row flags and the marked rows' blocks.
         self._stale = np.zeros(self._blocks.shape, dtype=bool)
         self._stale_rows = np.zeros(rows, dtype=bool)
         self._pending = False
+        self._make_views()
+
+    def _make_views(self) -> None:
+        # Flat buffer views for update(): a write through one is a plain
+        # Python store, no numpy scalar assignment.
+        self._values_buf = memoryview(self._values).cast("B").cast("d")
+        self._stale_buf = memoryview(self._stale).cast("B").cast("?")
+        self._stale_rows_buf = memoryview(self._stale_rows).cast("B").cast("?")
+
+    # A memoryview does not pickle or deep-copy; the copy makes its own.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if not isinstance(v, memoryview)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._make_views()
 
     # -- construction ------------------------------------------------------
 
@@ -206,7 +224,7 @@ class SegTreeMatrix:
             )
         start = _index(start, self.rows - block.shape[0] + 1, "start row")
         stop = start + block.shape[0]
-        sums = np.empty((block.shape[0], self._blocks.shape[1]))
+        sums = np.empty((block.shape[0], self._nblocks))
         full = self.cols // BLOCK
         if full:
             body = block[:, : full * BLOCK].reshape(len(block), full, BLOCK)
@@ -226,19 +244,26 @@ class SegTreeMatrix:
     def update(self, i: int, j: int, v: float) -> None:
         """Set entry (i, j) to ``v`` and mark its block stale.
 
-        O(1) work with no numpy reduction: the index and the value are
-        checked here, and the next read refreshes the block sum, the row
-        total and the root path. A value that is not finite, or whose
-        square overflows, raises NonFinite.
+        One entry per call: an index array raises TypeError. At the call
+        the work is Python-level, with no numpy call: the indices and the
+        value are checked, and the entry and its block's and row's stale
+        flags are written through flat views of the store's buffers. The
+        next read refreshes the block sum, the row total and the root path.
+        A value that is not finite, or whose square overflows, raises
+        NonFinite.
         """
-        i = _index(i, self.rows, "row")
-        j = _index(j, self.cols, "column")
+        # Plain in-range ints skip the general check; anything else, and
+        # every index to reject, goes through _index.
+        if not (type(i) is int and 0 <= i < self.rows):
+            i = operator.index(_index(i, self.rows, "row"))
+        if not (type(j) is int and 0 <= j < self.cols):
+            j = operator.index(_index(j, self.cols, "column"))
         v = float(v)
         if not math.isfinite(v * v):
             raise NonFinite(f"update value {v!r} is not finite or its square overflows")
-        self._values[i, j] = v
-        self._stale[i, j // BLOCK] = True
-        self._stale_rows[i] = True
+        self._values_buf[i * self.cols + j] = v
+        self._stale_buf[i * self._nblocks + j // BLOCK] = True
+        self._stale_rows_buf[i] = True
         self._pending = True
 
     def _refresh(self) -> None:
@@ -262,7 +287,7 @@ class SegTreeMatrix:
         """
         touched = np.flatnonzero(self._stale_rows)
         hit, blocks = np.divmod(
-            np.flatnonzero(self._stale[touched]), self._blocks.shape[1]
+            np.flatnonzero(self._stale[touched]), self._nblocks
         )
         rows = touched[hit]
         for at, seg in self._block_entries(rows, blocks):
@@ -295,8 +320,9 @@ class SegTreeMatrix:
     # -- accessors ---------------------------------------------------------
 
     def get(self, i: int, j: int) -> float:
-        i = _index(i, self.rows, "row")
-        j = _index(j, self.cols, "column")
+        """Entry (i, j); one entry per call, so an index array is a TypeError."""
+        i = operator.index(_index(i, self.rows, "row"))
+        j = operator.index(_index(j, self.cols, "column"))
         return float(self._values[i, j])
 
     def row_norm_sq(self, i):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sketchlearn import elm
+from sketchlearn.datasets import synth_blobs
 from sketchlearn.elm import (
     Dataset,
     ElmModel,
@@ -183,6 +184,17 @@ class TestBuildDesign:
         ds = Dataset(inputs=np.vstack([x, x]), labels=np.zeros(2, dtype=np.int64))
         res = build_design(fm, ds)
         np.testing.assert_array_equal(res.design[0], res.design[1])
+
+    def test_unoptimized_design_is_affine(self):
+        """Inputs in [0, 1] and a, b in [0, 1) make every pre-activation
+        >= 0, so the ReLU clips nothing before optimization: the design is
+        affine in the inputs, of rank at most d + 1."""
+        d = 8
+        ds = synth_blobs(d, 30, 4, np.random.default_rng(19))
+        fm = init_features(d, 40, np.random.default_rng(20))
+        design = build_design(fm, ds).design
+        np.testing.assert_array_equal(design, ds.inputs @ fm.a.T + fm.b)
+        assert np.linalg.matrix_rank(design) <= d + 1
 
     def test_without_tree(self, monkeypatch):
         fm = init_features(3, 5, np.random.default_rng(17))

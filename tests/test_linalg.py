@@ -211,6 +211,14 @@ class TestTruncatedPinv:
         with pytest.raises(ValueError):
             truncated_pinv(res, 0)
 
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_rank_must_be_an_integer(self, k):
+        """A bool is no rank and a float is never truncated to one."""
+        res = svd_dense(np.eye(2))
+        with pytest.raises(ValueError, match="rank must be >= 1 and an integer"):
+            truncated_pinv(res, k)
+        assert truncated_pinv(res, np.int64(2)).sigma.size == 2
+
 
 class TestApplyFactors:
     def test_identity_factors(self):

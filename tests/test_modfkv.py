@@ -311,6 +311,11 @@ class TestReconstruct:
             reconstruct(t, s, w_svd, 2)
         with pytest.raises(ValueError, match="k must be >= 1"):
             reconstruct(t, s, w_svd, 0)
+        # A bool is no rank and a float is never truncated to one.
+        for k in (True, 2.0):
+            with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+                reconstruct(t, s, w_svd, k)
+        assert reconstruct(t, s, w_svd, np.int64(1)).sigma.size == 1
 
     def test_direction_in_null_space_rejected(self):
         # Column 1 of X is zero and the sketch's one row sits on it, so the

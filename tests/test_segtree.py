@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 import tracemalloc
 
@@ -206,7 +208,10 @@ class TestIndexValidation:
             call(np.int64(1), np.int32(2))
             call(1, 2)
             if name in ("get", "update"):
-                for j in (2.5, True):
+                # One entry per call: an index array is rejected, not broadcast.
+                with pytest.raises(TypeError):
+                    call(np.array([1]), 0)
+                for j in (2.5, True, np.array([1])):
                     with pytest.raises(TypeError):
                         call(0, j)
                 for j in (3, -1):
@@ -246,6 +251,33 @@ class TestIndexValidation:
         assert t.fro_norm_sq() == fresh.fro_norm_sq()
         np.testing.assert_array_equal(t._blocks, fresh._blocks)
         np.testing.assert_array_equal(t._root_nodes, fresh._root_nodes)
+
+
+class TestCopy:
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copy_with_pending_updates(self, clone):
+        """A copy reads as a fresh build, and its writes reach only its own
+        entries: the original's dense and total do not move."""
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((13, 150))
+        t = SegTreeMatrix(x)
+        for _ in range(20):
+            i, j = int(rng.integers(13)), int(rng.integers(150))
+            x[i, j] = float(rng.standard_normal())
+            t.update(i, j, x[i, j])
+        c = clone(t)
+        fresh = SegTreeMatrix(x)
+        assert c.fro_norm_sq() == fresh.fro_norm_sq()
+        np.testing.assert_array_equal(c.dense, x)
+        np.testing.assert_array_equal(c._blocks, fresh._blocks)
+        np.testing.assert_array_equal(c._root_nodes, fresh._root_nodes)
+        before = t.dense.copy()
+        c.update(3, 100, 1e3)
+        assert c.get(3, 100) == 1e3
+        np.testing.assert_array_equal(t.dense, before)
+        assert t.fro_norm_sq() == fresh.fro_norm_sq()
 
 
 class TestOverflow:
