@@ -2,13 +2,12 @@
 """Digest of the seeded bench records of every kind, timings left out.
 
 Runs all six bench kinds on the synthetic dataset at small sizes, covering
-successful points, failing points (``k > p``), minibatch feature
-optimization (``batch_size``) and points whose optimizer diverges (M=200,
-K=10, 2000 points, 10 epochs at the default learning rate, full batch and
-minibatch). Each record is printed as one line of canonical JSON: its
-non-timing fields, plus the names of the timing fields that are set. The
-last line is the SHA-256 of those lines. Two source trees produce the same
-seeded records exactly when they print the same digest:
+successful points, failing points (``k > p``) and points whose full-batch
+feature optimization diverges (M=200, K=10, 2000 points, 10 epochs at the
+default learning rate). Each record is printed as one line of canonical
+JSON: its non-timing fields, plus the names of the timing fields that are
+set. The last line is the SHA-256 of those lines. Two source trees produce
+the same seeded records exactly when they print the same digest:
 
     python3 scripts/record_digest.py --src ../parent/src
     python3 scripts/record_digest.py
@@ -41,29 +40,25 @@ SPECS = (
      dict(m=(30, 60), k=(4, 8), p=(6, 16), strategies=ALL, subsample=200)),
     ("optimized-compare",
      dict(m=(30,), k=(4, 8), p=(6, 12), strategies=ALL, subsample=150, epochs=2)),
-    ("optimized-compare",
-     dict(m=(30,), k=(4,), p=(12,), strategies=ALL, subsample=150, epochs=3,
-          batch_size=32)),
     ("optimized-compare", dict(m=(200,), k=(10,), p=(40,), strategies=ALL, epochs=10)),
-    ("optimized-compare",
-     dict(m=(200,), k=(10,), p=(40,), strategies=ALL, epochs=10, batch_size=1000)),
     ("sampled-norms",
      dict(m=(30,), k=(4, 8), p=(6, 12), strategies=ALL, subsample=150, epochs=2)),
-    ("sampled-norms",
-     dict(m=(30,), k=(4,), p=(12,), strategies=ALL, subsample=150, epochs=3,
-          batch_size=32)),
     ("sampled-norms", dict(m=(200,), k=(10,), p=(40,), strategies=ALL, epochs=10)),
-    ("sampled-norms",
-     dict(m=(200,), k=(10,), p=(40,), strategies=ALL, epochs=10, batch_size=1000)),
 )
 
 
+def spec_of(kind: str, overrides: dict):
+    from sketchlearn.bench import ExperimentSpec
+
+    return ExperimentSpec(kind=kind, dataset="synthetic", seeds=SEEDS, **overrides)
+
+
 def record_lines() -> list[str]:
-    from sketchlearn.bench import ExperimentSpec, run_experiment
+    from sketchlearn.bench import run_experiment
 
     lines = []
     for kind, overrides in SPECS:
-        spec = ExperimentSpec(kind=kind, dataset="synthetic", seeds=SEEDS, **overrides)
+        spec = spec_of(kind, overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # reduced-rank sketches warn
             report = run_experiment(spec)

@@ -13,6 +13,7 @@ import sys
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -59,8 +60,8 @@ CSV_COLUMNS = (
 _CSV_FIELDS = {"M": "m", "K": "k", "P": "p", "treeBuild_s": "tree_build_s"}
 
 # Stream tags keeping the per-point substreams (features, sketch,
-# optimizer, re-sketch, data subsampling) statistically independent.
-_TAG_FEAT, _TAG_SKETCH, _TAG_OPT, _TAG_RESKETCH, _TAG_DATA = 101, 102, 103, 104, 105
+# re-sketch, data subsampling) statistically independent.
+_TAG_FEAT, _TAG_SKETCH, _TAG_RESKETCH, _TAG_DATA = 101, 102, 104, 105
 
 _SYNTH_MATRIX_COLS = 300
 _SYNTH_MATRIX_RANK = 5
@@ -83,7 +84,6 @@ class ExperimentSpec:
     subsample: int | None = None
     learning_rate: float = elm.OptimizerConfig.learning_rate
     epochs: int = elm.OptimizerConfig.epochs
-    batch_size: int | None = elm.OptimizerConfig.batch_size
     data_dir: str | None = None
 
     def __post_init__(self):
@@ -116,11 +116,7 @@ class ExperimentSpec:
 
     @property
     def optimizer(self) -> elm.OptimizerConfig:
-        return elm.OptimizerConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-        )
+        return elm.OptimizerConfig(learning_rate=self.learning_rate, epochs=self.epochs)
 
 
 @dataclass
@@ -160,10 +156,6 @@ def _rng(parts) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
-def _is_matrix_mode(spec: ExperimentSpec) -> bool:
-    return spec.dataset == "synthetic" and spec.kind in MATRIX_KINDS
-
-
 def _load_classification(spec: ExperimentSpec):
     if spec.dataset == "synthetic":
         count = spec.subsample or 2000
@@ -191,11 +183,14 @@ def _factor_error(x: np.ndarray, factors) -> float:
     return float(np.linalg.norm(approx - x) / np.linalg.norm(x))
 
 
-def _run_matrix_point(spec: ExperimentSpec, rec: RunRecord) -> None:
+def _load_matrix(spec: ExperimentSpec) -> np.ndarray:
     rows = spec.subsample or 400
-    x = dsets.synth_lowrank(
+    return dsets.synth_lowrank(
         rows, _SYNTH_MATRIX_COLS, _SYNTH_MATRIX_RANK, 0.0, _rng([_TAG_DATA, 2])
     )
+
+
+def _run_matrix_point(x: np.ndarray, rec: RunRecord) -> None:
     rec.featurize_s = rec.tree_build_s = 0.0
     t_all = time.perf_counter()
     tree = None
@@ -250,19 +245,20 @@ def _run_pass(rec: RunRecord, fm, train: elm.Dataset, n_classes: int, tag: int):
 
 
 def _run_classification_point(
-    spec: ExperimentSpec, rec: RunRecord, train: elm.Dataset, test: elm.Dataset
+    opt: elm.OptimizerConfig,
+    train: elm.Dataset,
+    test: elm.Dataset,
+    n_classes: int,
+    rec: RunRecord,
 ) -> None:
     """One pass; the optimized kinds then optimize the features and run a
     second, re-sketched pass, whose stage times add to the first's."""
-    n_classes = max(elm.infer_classes(train), elm.infer_classes(test))
     t_all = time.perf_counter()
 
     fm = elm.init_features(train.dim, rec.m, _rng([rec.seed, rec.m, _TAG_FEAT]))
     model, dr = _run_pass(rec, fm, train, n_classes, _TAG_SKETCH)
     if rec.kind in OPTIMIZED_KINDS:
-        fm = elm.optimize_features(
-            model, train, spec.optimizer, _rng(_point_entropy(rec, _TAG_OPT))
-        )
+        fm = elm.optimize_features(model, train, opt)
         model, dr = _run_pass(rec, fm, train, n_classes, _TAG_RESKETCH)
 
     if rec.kind == "sampled-norms" and rec.strategy != "exact":
@@ -304,21 +300,22 @@ def _points(spec: ExperimentSpec) -> list:
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Run every point of the sweep; never aborts on a single point failure.
 
-    Records are sorted canonically by point parameters (``_points`` lists
-    strategy before ``p``, so the sort reorders them).
+    The data is made or loaded once, before the first point. Records are
+    sorted canonically by point parameters (``_points`` lists strategy
+    before ``p``, so the sort reorders them).
     """
-    matrix_mode = _is_matrix_mode(spec)
-    if matrix_mode:
-        train = test = None
+    if spec.dataset == "synthetic" and spec.kind in MATRIX_KINDS:
+        run_point = partial(_run_matrix_point, _load_matrix(spec))
     else:
         train, test = _load_classification(spec)
+        n_classes = max(elm.infer_classes(train), elm.infer_classes(test))
+        run_point = partial(
+            _run_classification_point, spec.optimizer, train, test, n_classes
+        )
     records = _points(spec)
     for rec in records:
         try:
-            if matrix_mode:
-                _run_matrix_point(spec, rec)
-            else:
-                _run_classification_point(spec, rec, train, test)
+            run_point(rec)
         except Exception as exc:  # recorded, sweep continues
             rec.error = f"{type(exc).__name__}: {exc}"
     records.sort(key=lambda r: (r.kind, r.dataset, r.m, r.k, r.p, r.strategy, r.seed))

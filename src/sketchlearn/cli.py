@@ -40,7 +40,6 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--lr", dest="learning_rate", type=float,
                     help="feature-optimization learning rate")
     ap.add_argument("--epochs", type=int, help="feature-optimization epochs")
-    ap.add_argument("--batch-size", type=int, help="minibatch size (default full batch)")
     ap.add_argument("--out", default="-", help="report path, - for stdout")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     return ap

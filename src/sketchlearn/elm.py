@@ -3,9 +3,9 @@
 Features are phi_i(x) = relu(a_i . x + b_i) with a_i, b_i drawn uniform on
 [0, 1]. The design matrix stacks one feature row per data point (D x M),
 so the M x L output weights solve W = pinv(design) @ onehot (D x L). A
-gradient loop over a_i, b_i with the output weights frozen sharpens the
-feature map; re-solving the output weights afterwards completes the
-optimized pipeline.
+full-batch gradient loop over a_i, b_i with the output weights frozen, one
+step per epoch on the whole dataset, sharpens the feature map; re-solving
+the output weights afterwards completes the optimized pipeline.
 
 Every dataset here has inputs in [0, 1], and a_i, b_i start >= 0, so every
 pre-activation a_i . x + b_i is >= 0 and the ReLU clips nothing until the
@@ -118,12 +118,8 @@ class ElmModel:
 class OptimizerConfig:
     learning_rate: float = 1e-3
     epochs: int = 50
-    batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
-        size = self.batch_size
-        if size is not None and not (is_number(size) and size >= 1):
-            raise ValueError(f"batch_size must be an integer >= 1, got {size!r}")
         if not (is_number(self.epochs) and self.epochs >= 0):
             raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         # A NaN rate would never trip the divergence check.
@@ -270,24 +266,22 @@ def _loss_and_grads(a, b, w, xs, y):
 
 
 def optimize_features(
-    model: ElmModel,
-    ds: Dataset,
-    opt: OptimizerConfig,
-    rng: np.random.Generator,
+    model: ElmModel, ds: Dataset, opt: OptimizerConfig
 ) -> FeatureMap:
     """Gradient-descend a_i, b_i on the squared loss with ``model.w`` frozen.
 
-    Returns the parameters with the lowest full-set loss seen, so the
-    result is never worse than the starting map. Raises :class:`Diverged`
-    if the loss ever exceeds 10x its initial value.
+    Each epoch takes one full-batch step: the loss and gradients over the
+    whole dataset, then a step of ``opt.learning_rate`` along the negative
+    gradient. Deterministic: no randomness enters. Returns the parameters
+    with the lowest full-set loss seen, so the result is never worse than
+    the starting map. Raises :class:`Diverged` if the loss ever exceeds
+    10x its initial value.
     """
     a = model.features.a.copy()
     b = model.features.b.copy()
     w = model.w
     xs = ds.inputs
     y = onehot(ds, model.n_classes)
-    d = ds.count
-    batch = d if opt.batch_size is None else min(opt.batch_size, d)
     lr = opt.learning_rate
 
     def full_loss():
@@ -295,9 +289,8 @@ def optimize_features(
 
     loss0 = full_loss()
     best_loss, best_a, best_b = loss0, a.copy(), b.copy()
-
-    def check_and_keep(loss, epoch):
-        nonlocal best_loss, best_a, best_b
+    for epoch in range(opt.epochs):
+        loss, ga, gb = _loss_and_grads(a, b, w, xs, y)
         if loss > 10.0 * loss0 and loss0 > 0.0:
             raise Diverged(
                 f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
@@ -305,24 +298,11 @@ def optimize_features(
             )
         if loss < best_loss:
             best_loss, best_a, best_b = loss, a.copy(), b.copy()
-
-    for epoch in range(opt.epochs):
-        if batch == d:
-            loss, ga, gb = _loss_and_grads(a, b, w, xs, y)
-            check_and_keep(loss, epoch)
-            a -= lr * ga
-            b -= lr * gb
-        else:
-            perm = rng.permutation(d)
-            for start in range(0, d, batch):
-                sel = perm[start : start + batch]
-                _, ga, gb = _loss_and_grads(a, b, w, xs[sel], y[sel])
-                a -= lr * ga
-                b -= lr * gb
-            check_and_keep(full_loss(), epoch)
-    # A minibatch epoch ends by checking the full loss, so only the full
-    # batch leaves its last step's parameters unevaluated.
-    if batch == d and full_loss() < best_loss:
+        a -= lr * ga
+        b -= lr * gb
+    # Each epoch checks the loss before its step, so the last step's
+    # parameters are checked here.
+    if full_loss() < best_loss:
         best_a, best_b = a, b
     return FeatureMap(a=best_a, b=best_b)
 

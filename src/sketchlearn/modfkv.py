@@ -37,6 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    EmptyMatrix,
+    NonFinite,
     RankDeficientSketch,
     ZeroMatrix,
     ZeroProbability,
@@ -112,6 +114,8 @@ def draw_samples(t, cfg: SketchConfig, rng: np.random.Generator) -> SampleDraw:
     p = cfg.p
     if cfg.strategy == UNIFORM:
         x = _dense_of(t)
+        if x.ndim != 2 or x.size == 0:
+            raise EmptyMatrix(f"need a nonempty 2-D matrix, got shape {x.shape}")
         # The first row settles it in O(n) for nearly every input; the
         # full scan runs only when that row is zero.
         if not (x[0].any() or x.any()):
@@ -209,6 +213,10 @@ def reconstruct(t, s: np.ndarray, w_svd: LowRankFactors, k: int) -> LowRankFacto
     v = np.linalg.qr(v)[0]
     xv = _dense_of(t) @ v
     sigma = np.linalg.norm(xv, axis=0)
+    # A NaN or Inf anywhere in X reaches X @ v, so this O(k) check covers
+    # the whole matrix; a store's entries are finite already.
+    if not np.isfinite(sigma).all():
+        raise NonFinite("matrix has NaN or Inf entries")
     if np.any(sigma <= 0.0):
         raise RankDeficientSketch(
             "a lifted direction lies in the null space of the matrix"

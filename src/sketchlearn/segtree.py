@@ -87,10 +87,11 @@ def _descend(nodes: np.ndarray, u: np.ndarray, leaves: int) -> np.ndarray:
 
 
 def _index(idx, size: int, what: str):
-    """Check an index into ``range(size)``: an int, or an int64 index array.
+    """Check an index into ``range(size)``: an int, or a 1-D int64 index array.
 
-    Non-integer indices and bools raise ``TypeError`` and are never
-    truncated; out-of-range ones raise IndexOutOfRange.
+    Non-integer indices, bools and index arrays of any other number of axes
+    raise ``TypeError`` and are never truncated or broadcast; out-of-range
+    ones raise IndexOutOfRange.
     """
     if idx is True or idx is False:  # bool has no other instances
         raise TypeError(f"{what} index must be an integer, got {idx!r}")
@@ -103,8 +104,10 @@ def _index(idx, size: int, what: str):
             return k
         raise IndexOutOfRange(f"{what} index {k} outside [0, {size})")
     a = np.asarray(idx)
-    if a.ndim == 0 or (a.size and a.dtype.kind not in "iu"):
-        raise TypeError(f"{what} indices must be integers, got {idx!r}")
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise TypeError(
+            f"{what} index must be an integer or a 1-D integer array, got {idx!r}"
+        )
     a = a.astype(np.int64, copy=False)
     if a.size and (a.min() < 0 or a.max() >= size):
         raise IndexOutOfRange(f"{what} index outside [0, {size})")

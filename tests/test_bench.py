@@ -21,7 +21,7 @@ from sketchlearn.bench import (
 )
 from sketchlearn.cli import main
 from sketchlearn.elm import Dataset, OptimizerConfig, init_features, train
-from sketchlearn.errors import DatasetMissing, RankDeficientSketch
+from sketchlearn.errors import DatasetMissing, NonFinite, RankDeficientSketch
 from sketchlearn.linalg import svd_dense, truncated_pinv
 
 from imagefiles import mnist_split_bytes
@@ -71,8 +71,9 @@ class TestSpecValidation:
             dict(kind="compare-sampling", seeds=(-1,)),
             dict(kind="compare-sampling", subsample=0),
             dict(kind="compare-sampling", subsample=-5),
-            dict(kind="optimized-compare", batch_size=0),
-            dict(kind="optimized-compare", batch_size=-3),
+            # Strategy and seed lists given as a string or a scalar.
+            dict(kind="compare-sampling", strategies="norm"),
+            dict(kind="compare-sampling", seeds=0),
             dict(kind="sweep-rank", k=(0,)),
             dict(kind="sweep-rank", k=(5, -2)),
             dict(kind="compare-sampling", m=(0,)),
@@ -87,7 +88,7 @@ class TestSpecValidation:
             dict(kind="compare-sampling", seeds=(1.5,)),
             dict(kind="compare-sampling", m=(True,)),
             dict(kind="compare-sampling", subsample=2.5),
-            dict(kind="optimized-compare", batch_size=1.5),
+            dict(kind="optimized-compare", learning_rate="0.1"),
             dict(kind="optimized-compare", epochs=-2),
             dict(kind="optimized-compare", epochs=2.5),
             dict(kind="optimized-compare", learning_rate=float("nan")),
@@ -95,7 +96,7 @@ class TestSpecValidation:
             dict(kind="optimized-compare", learning_rate=-1e-3),
             # JSON true is an int to Python, but no count or rate.
             dict(kind="optimized-compare", epochs=True),
-            dict(kind="optimized-compare", batch_size=True),
+            dict(kind="compare-sampling", subsample=True),
             dict(kind="optimized-compare", learning_rate=True),
             dict(kind="compare-sampling", data_dir=5),
         ],
@@ -379,6 +380,28 @@ class TestExactPoint:
         np.testing.assert_array_equal(model.w, expected.w)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("strategy", ["exact", "norm", "uniform"])
+    def test_every_strategy_raises_non_finite(self, strategy):
+        # One NaN input makes one NaN design row, whichever path meets it.
+        rng = np.random.default_rng(6)
+        inputs = rng.random((60, 4))
+        inputs[17, 2] = np.nan
+        data = Dataset(inputs, np.arange(60) % 3)
+        fm = init_features(4, 30, rng)
+        rec = RunRecord(
+            kind="compare-sampling",
+            dataset="synthetic",
+            m=30,
+            k=3,
+            p=0 if strategy == "exact" else 12,
+            strategy=strategy,
+            seed=0,
+        )
+        with pytest.raises(NonFinite):
+            _run_pass(rec, fm, data, 3, _TAG_SKETCH)
+
+
 class TestEmitReport:
     def test_empty_report_is_header_only(self, tmp_path):
         report = RunReport(spec=tiny_spec(), records=[])
@@ -477,6 +500,22 @@ class TestCli:
         assert not out.exists()
         assert self.run_main(out=out) == 0
 
+    def test_batch_size_is_gone(self, tmp_path, capsys):
+        # Feature optimization runs full batch only; neither the flag nor
+        # the config field exists.
+        out = tmp_path / "run.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_main("--batch-size", "4", out=out)
+        assert exc.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "optimized-compare", "batch_size": 4}))
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not out.exists()
+        assert self.run_main("--experiment", "optimized-compare", "--epochs", "2",
+                             out=out) == 0
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         assert self.run_main("--format", "json", out=out) == 0
@@ -495,7 +534,7 @@ class TestCli:
             "subsample": 150,
         }
         every_field = dict(
-            base, learning_rate=1e-3, epochs=2, batch_size=32,
+            base, learning_rate=1e-3, epochs=2,
             data_dir=str(tmp_path),
         )
         assert set(every_field) == {f.name for f in fields(ExperimentSpec)}
@@ -521,8 +560,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--batch-size", "0"),
-            ("--batch-size", "-3"),
+            ("--m", "0"),
+            ("--p", "0"),
             ("--subsample", "-5"),
             ("--experiment", "sweep-rank", "--k", "0"),
             ("--experiment", "sweep-rank", "--k", "-2"),

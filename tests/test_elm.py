@@ -392,24 +392,13 @@ class TestOptimizeFeatures:
         fm = init_features(3, 5, rng)
         ds = toy_dataset(rng, count=8)
         model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
-        out = optimize_features(
-            model, ds, OptimizerConfig(learning_rate=0.0, epochs=3), rng
-        )
+        out = optimize_features(model, ds, OptimizerConfig(learning_rate=0.0, epochs=3))
         np.testing.assert_array_equal(out.a, fm.a)
         np.testing.assert_array_equal(out.b, fm.b)
-
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_rejects_batch_size_below_one(self, batch_size):
-        # range(0, d, batch) would fail for 0 and silently skip every
-        # step for a negative size.
-        with pytest.raises(ValueError, match="batch_size"):
-            OptimizerConfig(batch_size=batch_size)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            # range() would fail at run time for a non-integer size.
-            ("batch_size", 1.5),
             # A negative count would silently run zero epochs.
             ("epochs", -2),
             ("epochs", 2.5),
@@ -420,7 +409,6 @@ class TestOptimizeFeatures:
             ("learning_rate", -1e-3),
             ("learning_rate", "0.1"),
             # JSON true is an int to Python, but no count or rate.
-            ("batch_size", True),
             ("epochs", True),
             ("learning_rate", True),
         ],
@@ -458,10 +446,7 @@ class TestOptimizeFeatures:
             labels=np.array([0, 1, 0, 1, 0]),
         )
         model = ElmModel(features=fm, w=np.ones((3, 2)))
-        out = optimize_features(
-            model, ds, OptimizerConfig(learning_rate=0.1, epochs=5),
-            np.random.default_rng(0),
-        )
+        out = optimize_features(model, ds, OptimizerConfig(learning_rate=0.1, epochs=5))
         np.testing.assert_array_equal(out.a, fm.a)
         np.testing.assert_array_equal(out.b, fm.b)
 
@@ -473,8 +458,7 @@ class TestOptimizeFeatures:
         before = squared_loss(model, ds)
         for lr in (1e-3, 5e-2):
             out = optimize_features(
-                model, ds, OptimizerConfig(learning_rate=lr, epochs=20),
-                np.random.default_rng(0),
+                model, ds, OptimizerConfig(learning_rate=lr, epochs=20)
             )
             after = squared_loss(ElmModel(features=out, w=model.w), ds)
             assert after <= before + 1e-12
@@ -505,28 +489,15 @@ class TestOptimizeFeatures:
         model = ElmModel(features=fm, w=0.8 * model.w)
         before = squared_loss(model, ds)
         out = optimize_features(
-            model, ds, OptimizerConfig(learning_rate=1e-3, epochs=30),
-            np.random.default_rng(0),
+            model, ds, OptimizerConfig(learning_rate=1e-3, epochs=30)
         )
         after = squared_loss(ElmModel(features=out, w=model.w), ds)
         assert after < before
 
-    def test_minibatch_deterministic_given_rng(self):
-        rng = np.random.default_rng(33)
-        fm = init_features(3, 5, rng)
-        ds = toy_dataset(rng, count=10)
-        model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
-        opt = OptimizerConfig(learning_rate=1e-3, epochs=5, batch_size=4)
-        o1 = optimize_features(model, ds, opt, np.random.default_rng(1))
-        o2 = optimize_features(model, ds, opt, np.random.default_rng(1))
-        np.testing.assert_array_equal(o1.a, o2.a)
-        np.testing.assert_array_equal(o1.b, o2.b)
-
-    @pytest.mark.parametrize("batch_size, closing", [(4, 0), (None, 1)])
-    def test_full_set_featurized_once_per_epoch(self, monkeypatch, batch_size, closing):
-        # One full-set loss at the start and one per epoch; only the full
-        # batch, whose epochs check the loss before their step, evaluates
-        # the last step's parameters once more at the end.
+    def test_full_set_featurized_once_per_epoch(self, monkeypatch):
+        # One full-set loss at the start and one per epoch; the epochs
+        # check the loss before their step, so the last step's parameters
+        # are evaluated once more at the end.
         rng = np.random.default_rng(33)
         fm = init_features(3, 5, rng)
         ds = toy_dataset(rng, count=10)
@@ -540,9 +511,9 @@ class TestOptimizeFeatures:
 
         monkeypatch.setattr(elm, "_features", counting)
         epochs = 5
-        opt = OptimizerConfig(learning_rate=1e-3, epochs=epochs, batch_size=batch_size)
-        optimize_features(model, ds, opt, np.random.default_rng(3))
-        assert sum(full_set) == epochs + 1 + closing
+        opt = OptimizerConfig(learning_rate=1e-3, epochs=epochs)
+        optimize_features(model, ds, opt)
+        assert full_set == [True] * (epochs + 2)
 
     def test_diverged_on_huge_step(self):
         rng = np.random.default_rng(34)
@@ -550,10 +521,7 @@ class TestOptimizeFeatures:
         ds = toy_dataset(rng, count=10)
         model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
         with pytest.raises(Diverged):
-            optimize_features(
-                model, ds, OptimizerConfig(learning_rate=1e4, epochs=50),
-                np.random.default_rng(0),
-            )
+            optimize_features(model, ds, OptimizerConfig(learning_rate=1e4, epochs=50))
 
     def test_retrain_after_optimize_is_deterministic(self):
         rng = np.random.default_rng(35)
@@ -561,8 +529,8 @@ class TestOptimizeFeatures:
         ds = toy_dataset(rng, count=10)
         model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
         opt = OptimizerConfig(learning_rate=1e-3, epochs=5)
-        fm1 = optimize_features(model, ds, opt, np.random.default_rng(2))
-        fm2 = optimize_features(model, ds, opt, np.random.default_rng(2))
+        fm1 = optimize_features(model, ds, opt)
+        fm2 = optimize_features(model, ds, opt)
         m1 = train(fm1, ds, exact_pinv(build_design(fm1, ds).design))
         m2 = train(fm2, ds, exact_pinv(build_design(fm2, ds).design))
         np.testing.assert_array_equal(m1.w, m2.w)

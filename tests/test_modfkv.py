@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sketchlearn.errors import (
+    EmptyMatrix,
+    NonFinite,
     RankDeficientSketch,
     ZeroMatrix,
     ZeroProbability,
@@ -165,6 +167,18 @@ class TestDrawSamples:
                 SketchConfig(k=1, p=2, strategy="uniform"),
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (5,)])
+    def test_uniform_rejects_empty_or_1d(self, shape):
+        # The store rejects the same shapes with the same error.
+        x = np.ones(shape)
+        with pytest.raises(EmptyMatrix, match="nonempty 2-D"):
+            SegTreeMatrix(x)
+        cfg = SketchConfig(k=1, p=2, strategy="uniform")
+        with pytest.raises(EmptyMatrix, match="nonempty 2-D"):
+            draw_samples(x, cfg, np.random.default_rng(0))
+        with pytest.raises(EmptyMatrix, match="nonempty 2-D"):
+            modfkv(x, cfg)
 
     def test_uniform_accepts_zero_first_row(self):
         # The zero-matrix check looks at the first row before scanning the
@@ -372,6 +386,18 @@ class TestModfkv:
         assert f.k == 1
         assert f.reduced
         assert rel_err(materialize(f), x) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_uniform_rejects_non_finite_entries(self, bad):
+        # A store rejects these entries when it is filled; a dense array
+        # reaches the lift, where the bad entry shows in X @ v. Most seeds
+        # miss the bad row, so the core itself is finite.
+        x = np.random.default_rng(22).random((50, 20))
+        x[3, 4] = bad
+        for seed in range(10):
+            cfg = SketchConfig(k=2, p=10, strategy="uniform", seed=seed)
+            with pytest.raises(NonFinite):
+                modfkv(x, cfg)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrix):

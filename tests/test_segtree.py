@@ -181,8 +181,9 @@ class TestUpdate:
 
 
 class TestIndexValidation:
-    """One index check at every reader and writer: a non-integer index is a
-    TypeError and is never truncated; an out-of-range one is IndexOutOfRange."""
+    """One index check at every reader and writer: a non-integer index, or
+    an index array with other than one axis, is a TypeError and is never
+    truncated or broadcast; an out-of-range one is IndexOutOfRange."""
 
     def calls(self, t, rng):
         return {
@@ -205,6 +206,9 @@ class TestIndexValidation:
             for i, j in ((2, 0), (-1, 0)):
                 with pytest.raises(IndexOutOfRange):
                     call(i, j)
+            # An index array has one axis; a 2-D one is never broadcast.
+            with pytest.raises(TypeError):
+                call(np.array([[0, 1]]), 0)
             call(np.int64(1), np.int32(2))
             call(1, 2)
             if name in ("get", "update"):
