@@ -19,7 +19,12 @@ the one full pass ``X @ v``.
 In a process of its own, each ``EVAL_SHAPES`` entry times ``evaluate``
 of one fixed seeded model (10 classes) on 1000 seeded test rows: at
 d=64, M=10000 (the timing-ordering criterion's shape) and at M=1024 (the
-elm-wide workload's width).
+elm-wide workload's width). The same process times ``build_design`` of
+the model's feature map on ``DESIGN_ROWS`` seeded rows, with and without
+the tree, and ``featurize_batch`` of those rows under a seeded map of
+mixed-sign weights and offsets, the one timing of the ReLU's clamping
+path (every workload's map and inputs are nonnegative, so its ReLU pass
+is skipped).
 Each ``POINTS`` entry is one whole bench point, ``run_experiment`` of a
 one-point spec in a process of its own, with the median and minimum of
 each stage field of its record (featurize, tree build, factorize, solve,
@@ -71,6 +76,8 @@ LIFT_K = 10
 EVAL_SHAPES = ((1000, 64, 10000), (1000, 64, 1024))
 EVAL_CLASSES = 10
 EVAL_REPEATS = 15
+# Training rows of the design layers beside evaluate (elm-wide's count).
+DESIGN_ROWS = 2000
 STAGES = ("featurize_s", "tree_build_s", "factorize_s", "solve_s", "total_s")
 _CRIT6 = dict(kind="compare-sampling", m=(10_000,), k=(10,), p=(100,), subsample=2000)
 _MATRIX = dict(kind="sweep-samples", k=(5,), p=(50,))
@@ -216,14 +223,27 @@ def measure(rows: int, cols: int, repeats: int) -> dict:
 
 def measure_evaluate(rows: int, d: int, m: int, repeats: int) -> dict:
     import numpy as np
-    from sketchlearn.elm import Dataset, ElmModel, evaluate, init_features
+    from sketchlearn.elm import (
+        Dataset, ElmModel, FeatureMap, build_design, evaluate, featurize_batch,
+        init_features,
+    )
 
     rng = np.random.default_rng([rows, d, m])
     model = ElmModel(features=init_features(d, m, rng),
                      w=rng.standard_normal((m, EVAL_CLASSES)))
     ds = Dataset(inputs=rng.random((rows, d)),
                  labels=rng.integers(0, EVAL_CLASSES, rows))
-    layers = {"evaluate": timed(lambda: evaluate(model, ds), repeats)}
+    train = Dataset(inputs=rng.random((DESIGN_ROWS, d)),
+                    labels=rng.integers(0, EVAL_CLASSES, DESIGN_ROWS))
+    mixed = FeatureMap(a=rng.standard_normal((m, d)), b=rng.standard_normal(m))
+    fm = model.features
+    layers = {
+        "evaluate": timed(lambda: evaluate(model, ds), repeats),
+        "build_design_tree": timed(lambda: build_design(fm, train), repeats),
+        "build_design_no_tree":
+            timed(lambda: build_design(fm, train, with_tree=False), repeats),
+        "featurize_mixed": timed(lambda: featurize_batch(mixed, train.inputs), repeats),
+    }
     return {"rows": rows, "d": d, "m": m, "peak_rss_mb": peak_rss_mb(), "layers": layers}
 
 

@@ -7,17 +7,27 @@ full-batch gradient loop over a_i, b_i with the output weights frozen, one
 step per epoch on the whole dataset, sharpens the feature map; re-solving
 the output weights afterwards completes the optimized pipeline.
 
+Featurization is one GEMM per block of ``DEFAULT_BLOCK`` rows: the block is
+copied beside a trailing ones column and multiplied by ``[a | b]``
+(M x (d + 1)), so the offset is the product's last term. A BLAS that sums
+the K axis in order ends each entry with fl(acc + b_i), the same number as
+adding b after the product. OpenBLAS does so up to d + 1 = 384; wider
+inputs (MNIST's d = 784) and some tiny shapes split or reorder the sum, and
+there the fold can move the last bit.
+
 Every dataset here has inputs in [0, 1], and a_i, b_i start >= 0, so every
 pre-activation a_i . x + b_i is >= 0 and the ReLU clips nothing until the
 optimizer moves a parameter below zero. The unoptimized design is thus
-affine in the inputs, of rank at most d + 1.
+affine in the inputs, of rank at most d + 1. The ReLU pass is skipped
+exactly when it cannot clip: when every weight, offset and input of the
+block is >= 0.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -42,20 +52,34 @@ DEFAULT_BLOCK = 512
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Random single-layer network: weights ``a`` (M x d), offsets ``b`` (M,)."""
+    """Random single-layer network: weights ``a`` (M x d), offsets ``b`` (M,).
+
+    ``a`` and ``b`` are read-only views of one M x (d + 1) copy
+    ``ab = [a | b]``, the matrix the featurization GEMM multiplies by;
+    ``nonneg`` says whether every entry of it is >= 0.
+    """
 
     a: np.ndarray
     b: np.ndarray
+    ab: np.ndarray = field(init=False, repr=False, compare=False)
+    nonneg: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if self.a.ndim != 2 or self.b.shape != (self.a.shape[0],):
+        a = np.asarray(self.a, dtype=np.float64)
+        b = np.asarray(self.b, dtype=np.float64)
+        if a.ndim != 2 or b.shape != (a.shape[0],):
             raise DimensionMismatch(
-                f"need a (M, d) and b (M,), got {self.a.shape} and {self.b.shape}"
+                f"need a (M, d) and b (M,), got {a.shape} and {b.shape}"
             )
-        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+        ab = np.column_stack((a, b))
+        if not np.isfinite(ab).all():
             raise NonFinite("feature map parameters must be finite")
+        # Read-only, so ``nonneg`` cannot go stale.
+        ab.flags.writeable = False
+        object.__setattr__(self, "ab", ab)
+        object.__setattr__(self, "a", ab[:, :-1])
+        object.__setattr__(self, "b", ab[:, -1])
+        object.__setattr__(self, "nonneg", _nonneg(ab))
 
     @property
     def m(self) -> int:
@@ -135,11 +159,31 @@ def init_features(d: int, m: int, rng: np.random.Generator) -> FeatureMap:
     return FeatureMap(a=rng.random((m, d)), b=rng.random(m))
 
 
-def _features(a, b, xs, out=None) -> np.ndarray:
-    """relu(xs @ a.T + b), one feature row per input row, in ``out`` if given."""
-    z = np.matmul(xs, a.T, out=out)
-    z += b
-    return np.maximum(z, 0.0, out=z)
+def _nonneg(arr) -> bool:
+    """Whether every entry is >= 0 (true of an empty array, false with a NaN)."""
+    return bool(arr.min(initial=0.0) >= 0.0)
+
+
+def _features(ab, nonneg, xs, out=None) -> np.ndarray:
+    """relu(xs @ a.T + b) for ``ab = [a | b]``, in ``out`` if given.
+
+    ``nonneg`` says whether every entry of ``ab`` is >= 0. Each
+    ``DEFAULT_BLOCK`` rows of ``xs`` are copied into one reused buffer whose
+    last column is 1, and one GEMM writes their feature rows; the ReLU pass
+    runs only on a block where a pre-activation can be negative.
+    """
+    n = len(xs)
+    out = np.empty((n, len(ab))) if out is None else out
+    xa = np.empty((min(n, DEFAULT_BLOCK), ab.shape[1]))
+    xa[:, -1] = 1.0
+    for start in range(0, n, DEFAULT_BLOCK):
+        stop = min(start + DEFAULT_BLOCK, n)
+        block = xa[: stop - start]
+        block[:, :-1] = xs[start:stop]
+        z = np.matmul(block, ab.T, out=out[start:stop])
+        if not (nonneg and _nonneg(block)):
+            np.maximum(z, 0.0, out=z)
+    return out
 
 
 def featurize_batch(
@@ -151,7 +195,7 @@ def featurize_batch(
         raise DimensionMismatch(
             f"batch of width {fm.input_dim} required, got shape {xs.shape}"
         )
-    return _features(fm.a, fm.b, xs, out=out)
+    return _features(fm.ab, fm.nonneg, xs, out=out)
 
 
 @dataclass(frozen=True)
@@ -179,13 +223,14 @@ def build_design(fm: FeatureMap, ds: Dataset, with_tree: bool = True) -> DesignR
     d = ds.count
     tree = SegTreeMatrix.zeros(d, fm.m) if with_tree else None
     design = tree.dense if with_tree else np.empty((d, fm.m))
+    # With a tree the rows pass through one reused buffer into the store.
+    phi = np.empty((min(DEFAULT_BLOCK, d), fm.m)) if with_tree else None
     feat_s = 0.0
     tree_s = 0.0
     for start in range(0, d, DEFAULT_BLOCK):
         stop = min(start + DEFAULT_BLOCK, d)
         t0 = time.perf_counter()
-        # Without a tree the rows are computed in place in the design.
-        out = None if with_tree else design[start:stop]
+        out = phi[: stop - start] if with_tree else design[start:stop]
         rows = featurize_batch(fm, ds.inputs[start:stop], out=out)
         t1 = time.perf_counter()
         feat_s += t1 - t0
@@ -256,8 +301,14 @@ def squared_loss(model: ElmModel, ds: Dataset) -> float:
     return _residual(phi, model.w, y)[1]
 
 
+def _iterate_features(a, b, xs) -> np.ndarray:
+    """Feature rows under the optimizer's current ``a``, ``b``."""
+    ab = np.column_stack((a, b))
+    return _features(ab, _nonneg(ab), xs)
+
+
 def _loss_and_grads(a, b, w, xs, y):
-    phi = _features(a, b, xs)
+    phi = _iterate_features(a, b, xs)
     r, loss = _residual(phi, w, y)
     # dLoss/dz; the relu subgradient at exactly 0 is taken as 0, and
     # phi > 0 exactly where the preactivation is.
@@ -274,8 +325,10 @@ def optimize_features(
     whole dataset, then a step of ``opt.learning_rate`` along the negative
     gradient. Deterministic: no randomness enters. Returns the parameters
     with the lowest full-set loss seen, so the result is never worse than
-    the starting map. Raises :class:`Diverged` if the loss ever exceeds
-    10x its initial value.
+    the starting map. The first epoch's loss is the starting loss, so E
+    epochs featurize the full set E + 1 times, and zero epochs return the
+    starting map without featurizing. Raises :class:`Diverged` if the loss
+    ever exceeds 10x its initial value.
     """
     a = model.features.a.copy()
     b = model.features.b.copy()
@@ -284,25 +337,24 @@ def optimize_features(
     y = onehot(ds, model.n_classes)
     lr = opt.learning_rate
 
-    def full_loss():
-        return _residual(_features(a, b, xs), w, y)[1]
-
-    loss0 = full_loss()
-    best_loss, best_a, best_b = loss0, a.copy(), b.copy()
+    best_a, best_b = a.copy(), b.copy()
     for epoch in range(opt.epochs):
         loss, ga, gb = _loss_and_grads(a, b, w, xs, y)
-        if loss > 10.0 * loss0 and loss0 > 0.0:
+        # The first epoch's loss is the starting map's.
+        if epoch == 0:
+            loss0 = best_loss = loss
+        elif loss > 10.0 * loss0 and loss0 > 0.0:
             raise Diverged(
                 f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
                 f"at epoch {epoch}"
             )
-        if loss < best_loss:
+        elif loss < best_loss:
             best_loss, best_a, best_b = loss, a.copy(), b.copy()
         a -= lr * ga
         b -= lr * gb
     # Each epoch checks the loss before its step, so the last step's
     # parameters are checked here.
-    if full_loss() < best_loss:
+    if opt.epochs and _residual(_iterate_features(a, b, xs), w, y)[1] < best_loss:
         best_a, best_b = a, b
     return FeatureMap(a=best_a, b=best_b)
 
@@ -336,6 +388,6 @@ def load_model(path) -> ElmModel:
     off += 8 * m
     w = np.frombuffer(blob, dtype="<f8", count=m * n_classes, offset=off)
     return ElmModel(
-        features=FeatureMap(a=a.copy(), b=b.copy()),
+        features=FeatureMap(a=a, b=b),
         w=w.reshape(m, n_classes).copy(),
     )

@@ -137,6 +137,66 @@ class TestFeaturize:
             with pytest.raises(DimensionMismatch):
                 featurize_batch(fm, xs)
 
+    @pytest.mark.parametrize("negative", [None, "input", "offset"])
+    def test_relu_skipped_only_when_nothing_is_negative(self, monkeypatch, negative):
+        """The ReLU pass is skipped when every input, weight and offset is
+        >= 0. One negative input, in one block of several, or one negative
+        offset on an otherwise nonnegative map must bring the clamp back."""
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 5)
+        rng = np.random.default_rng(41)
+        fm = init_features(4, 9, rng)
+        xs = rng.random((12, 4))
+        if negative == "input":
+            xs[7, 2] = -50.0
+        elif negative == "offset":
+            fm = FeatureMap(a=fm.a, b=np.where(np.arange(9) == 3, -10.0, fm.b))
+        assert fm.nonneg == (negative != "offset")
+        z = xs @ fm.a.T + fm.b
+        assert (z < 0.0).any() == (negative is not None)
+        np.testing.assert_array_equal(featurize_batch(fm, xs), np.maximum(z, 0.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_rows(self, sign):
+        # Both the skipping (sign 1) and the clamping path.
+        fm = FeatureMap(a=sign * np.ones((7, 3)), b=np.ones(7))
+        assert fm.nonneg == (sign > 0)
+        assert featurize_batch(fm, np.empty((0, 3))).shape == (0, 7)
+        out = np.empty((0, 7))
+        assert featurize_batch(fm, np.empty((0, 3)), out=out) is out
+
+    def test_mnist_width_within_a_few_ulps(self):
+        """At d = 784 the bias fold is not bitwise. OpenBLAS splits a sum of
+        more than 384 terms into blocks, and it splits the folded 785-term
+        sum elsewhere than the reference's 784-term one, so an entry can
+        move by a few ulps (5 eps of its value at this shape). Some tiny
+        shapes, such as 3 x 64 -> 7, reorder the sum too; at the shapes the
+        other tests use the fold is bitwise."""
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(42)
+        xs = rng.random((600, 784))
+        fm = init_features(784, 300, rng)
+        np.testing.assert_allclose(
+            featurize_batch(fm, xs), xs @ fm.a.T + fm.b, rtol=16 * eps
+        )
+        # With mixed signs an entry can cancel to near 0, so its error is
+        # bounded by the magnitudes of its terms instead.
+        mixed = FeatureMap(a=rng.standard_normal((300, 784)), b=rng.standard_normal(300))
+        ref = np.maximum(xs @ mixed.a.T + mixed.b, 0.0)
+        terms = np.abs(xs) @ np.abs(mixed.a).T + np.abs(mixed.b)
+        assert np.all(np.abs(featurize_batch(mixed, xs) - ref) <= 16 * eps * terms)
+
+    def test_parameters_are_read_only_views_of_one_copy(self):
+        rng = np.random.default_rng(43)
+        a, b = rng.random((6, 3)), rng.random(6)
+        fm = FeatureMap(a=a, b=b)
+        np.testing.assert_array_equal(fm.ab, np.column_stack((a, b)))
+        assert fm.a.base is fm.ab and fm.b.base is fm.ab
+        a[0, 0] = -1.0  # the caller's array is not the map's
+        assert fm.nonneg and fm.a[0, 0] >= 0.0
+        for view in (fm.a, fm.b):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = -1.0
+
 
 class TestBuildDesign:
     def test_single_point(self):
@@ -495,9 +555,9 @@ class TestOptimizeFeatures:
         assert after < before
 
     def test_full_set_featurized_once_per_epoch(self, monkeypatch):
-        # One full-set loss at the start and one per epoch; the epochs
-        # check the loss before their step, so the last step's parameters
-        # are evaluated once more at the end.
+        # One full-set loss per epoch, the first being the starting loss;
+        # the epochs check the loss before their step, so the last step's
+        # parameters are evaluated once more at the end.
         rng = np.random.default_rng(33)
         fm = init_features(3, 5, rng)
         ds = toy_dataset(rng, count=10)
@@ -505,15 +565,30 @@ class TestOptimizeFeatures:
         full_set = []
         features = elm._features
 
-        def counting(a, b, xs, out=None):
+        def counting(ab, nonneg, xs, out=None):
             full_set.append(len(xs) == ds.count)
-            return features(a, b, xs, out=out)
+            return features(ab, nonneg, xs, out=out)
 
         monkeypatch.setattr(elm, "_features", counting)
         epochs = 5
         opt = OptimizerConfig(learning_rate=1e-3, epochs=epochs)
         optimize_features(model, ds, opt)
-        assert full_set == [True] * (epochs + 2)
+        assert full_set == [True] * (epochs + 1)
+
+    def test_inputs_are_not_copied(self):
+        # Featurization copies one block of inputs at a time beside its ones
+        # column; at MNIST's width a copy of the whole set would dominate.
+        rng = np.random.default_rng(36)
+        ds = toy_dataset(rng, d=784, count=4096, n_classes=10)
+        model = ElmModel(features=init_features(784, 8, rng),
+                         w=1e-3 * rng.standard_normal((8, 10)))
+        tracemalloc.start()
+        try:
+            optimize_features(model, ds, OptimizerConfig(learning_rate=1e-6, epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.inputs.nbytes / 4, peak / ds.inputs.nbytes
 
     def test_diverged_on_huge_step(self):
         rng = np.random.default_rng(34)
