@@ -19,12 +19,16 @@ the one full pass ``X @ v``.
 In a process of its own, each ``EVAL_SHAPES`` entry times ``evaluate``
 of one fixed seeded model (10 classes) on 1000 seeded test rows: at
 d=64, M=10000 (the timing-ordering criterion's shape) and at M=1024 (the
-elm-wide workload's width). The same process times ``build_design`` of
+elm-wide workload's width). That model's map and inputs are nonnegative,
+so ``evaluate`` scores through the folded head and featurizes nothing;
+``evaluate_mixed`` times it with a seeded map of mixed-sign weights and
+offsets, the featurized path. The same process times ``build_design`` of
 the model's feature map on ``DESIGN_ROWS`` seeded rows, with and without
-the tree, and ``featurize_batch`` of those rows under a seeded map of
-mixed-sign weights and offsets, the one timing of the ReLU's clamping
-path (every workload's map and inputs are nonnegative, so its ReLU pass
-is skipped).
+the tree, ``train`` of the output weights from a rank-10 uniform sketch
+(P=``TRAIN_P``) of that design, and ``featurize_batch`` of those rows
+under the mixed-sign map, the one timing of the ReLU's clamping pass
+(every workload's map and inputs are nonnegative, so its ReLU pass is
+skipped).
 Each ``POINTS`` entry is one whole bench point, ``run_experiment`` of a
 one-point spec in a process of its own, with the median and minimum of
 each stage field of its record (featurize, tree build, factorize, solve,
@@ -40,9 +44,9 @@ Each shape runs in its own fresh process, whose peak RSS (the imports
 included) is recorded once per shape. A machine block records the cores,
 numpy, its BLAS and the BLAS thread settings.
 
-    python3 scripts/bench_snapshot.py --label change --out BENCH_14.json
+    python3 scripts/bench_snapshot.py --label change --out BENCH_21.json
     python3 scripts/bench_snapshot.py --src ../parent/src --label parent \\
-        --out BENCH_14.json
+        --out BENCH_21.json
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
@@ -78,6 +82,8 @@ EVAL_CLASSES = 10
 EVAL_REPEATS = 15
 # Training rows of the design layers beside evaluate (elm-wide's count).
 DESIGN_ROWS = 2000
+# Samples of the sketch whose pseudo-inverse the train layer applies.
+TRAIN_P = 50
 STAGES = ("featurize_s", "tree_build_s", "factorize_s", "solve_s", "total_s")
 _CRIT6 = dict(kind="compare-sampling", m=(10_000,), k=(10,), p=(100,), subsample=2000)
 _MATRIX = dict(kind="sweep-samples", k=(5,), p=(50,))
@@ -225,24 +231,34 @@ def measure_evaluate(rows: int, d: int, m: int, repeats: int) -> dict:
     import numpy as np
     from sketchlearn.elm import (
         Dataset, ElmModel, FeatureMap, build_design, evaluate, featurize_batch,
-        init_features,
+        init_features, train,
     )
+    from sketchlearn.linalg import truncated_pinv
+    from sketchlearn.modfkv import SketchConfig, modfkv
 
     rng = np.random.default_rng([rows, d, m])
     model = ElmModel(features=init_features(d, m, rng),
                      w=rng.standard_normal((m, EVAL_CLASSES)))
     ds = Dataset(inputs=rng.random((rows, d)),
                  labels=rng.integers(0, EVAL_CLASSES, rows))
-    train = Dataset(inputs=rng.random((DESIGN_ROWS, d)),
-                    labels=rng.integers(0, EVAL_CLASSES, DESIGN_ROWS))
+    train_ds = Dataset(inputs=rng.random((DESIGN_ROWS, d)),
+                       labels=rng.integers(0, EVAL_CLASSES, DESIGN_ROWS))
     mixed = FeatureMap(a=rng.standard_normal((m, d)), b=rng.standard_normal(m))
     fm = model.features
+    cfg = SketchConfig(k=LIFT_K, p=TRAIN_P, strategy="uniform")
+    design = build_design(fm, train_ds, with_tree=False).design
+    pinv = truncated_pinv(modfkv(design, cfg), LIFT_K)
+    del design
+    mixed_model = ElmModel(features=mixed, w=model.w)
     layers = {
         "evaluate": timed(lambda: evaluate(model, ds), repeats),
-        "build_design_tree": timed(lambda: build_design(fm, train), repeats),
+        "evaluate_mixed": timed(lambda: evaluate(mixed_model, ds), repeats),
+        "train": timed(lambda: train(fm, train_ds, pinv, EVAL_CLASSES), repeats),
+        "build_design_tree": timed(lambda: build_design(fm, train_ds), repeats),
         "build_design_no_tree":
-            timed(lambda: build_design(fm, train, with_tree=False), repeats),
-        "featurize_mixed": timed(lambda: featurize_batch(mixed, train.inputs), repeats),
+            timed(lambda: build_design(fm, train_ds, with_tree=False), repeats),
+        "featurize_mixed":
+            timed(lambda: featurize_batch(mixed, train_ds.inputs), repeats),
     }
     return {"rows": rows, "d": d, "m": m, "peak_rss_mb": peak_rss_mb(), "layers": layers}
 

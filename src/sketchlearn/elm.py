@@ -21,6 +21,13 @@ optimizer moves a parameter below zero. The unoptimized design is thus
 affine in the inputs, of rank at most d + 1. The ReLU pass is skipped
 exactly when it cannot clip: when every weight, offset and input of the
 block is >= 0.
+
+Prediction uses the same predicate once over the whole batch: when it
+holds, the scores [x | 1] @ [a | b]^T @ w come from the folded head
+[a | b]^T @ w ((d + 1) x L), so ``evaluate`` costs O(M d L + n d L) and
+forms no feature row. A mixed-sign map (after ``optimize_features``), a
+negative input or a NaN sends the batch down the featurized path, which
+costs O(n M (d + L)) in ``DEFAULT_BLOCK``-row blocks.
 """
 
 from __future__ import annotations
@@ -92,7 +99,7 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs in [0, 1]^d (one row per point) with integer labels."""
+    """Finite inputs, in [0, 1]^d here (one row per point), with integer labels."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -107,6 +114,10 @@ class Dataset:
             )
         if self.inputs.shape[0] == 0:
             raise EmptyMatrix("dataset has no points")
+        # A NaN input would make every loss NaN, which no divergence or
+        # best-loss comparison trips.
+        if not np.isfinite(self.inputs).all():
+            raise NonFinite("dataset inputs must be finite")
 
     @property
     def count(self) -> int:
@@ -186,16 +197,21 @@ def _features(ab, nonneg, xs, out=None) -> np.ndarray:
     return out
 
 
-def featurize_batch(
-    fm: FeatureMap, xs, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Feature rows for a batch: returns (len(xs), M), in ``out`` if given."""
+def _batch(fm: FeatureMap, xs) -> np.ndarray:
+    """``xs`` as a float64 (n, d) array for ``fm``'s input width d."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != fm.input_dim:
         raise DimensionMismatch(
             f"batch of width {fm.input_dim} required, got shape {xs.shape}"
         )
-    return _features(fm.ab, fm.nonneg, xs, out=out)
+    return xs
+
+
+def featurize_batch(
+    fm: FeatureMap, xs, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Feature rows for a batch: returns (len(xs), M), in ``out`` if given."""
+    return _features(fm.ab, fm.nonneg, _batch(fm, xs), out=out)
 
 
 @dataclass(frozen=True)
@@ -271,14 +287,24 @@ def train(
 def predict_batch(model: ElmModel, xs) -> np.ndarray:
     """Argmax class score per row; ties resolve to the smallest label index.
 
-    Featurizes ``DEFAULT_BLOCK`` rows at a time into one buffer.
+    When the ReLU cannot clip (``fm.nonneg`` and every input >= 0), the
+    map is affine and the scores are ``[x | 1] @ head`` with the folded
+    head ``head = [a | b]^T @ w`` ((d + 1) x L): O(M d L) for the head and
+    O(n d L) for the scores, with no feature row formed. Otherwise the rows
+    are featurized ``DEFAULT_BLOCK`` at a time into one buffer and scored
+    against ``w``: O(n M (d + L)).
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    fm = model.features
+    xs = _batch(fm, xs)
     out = np.empty(len(xs), dtype=np.int64)
-    phi = np.empty((min(DEFAULT_BLOCK, len(xs)), model.features.m))
+    if fm.nonneg and _nonneg(xs):
+        head = fm.ab.T @ model.w
+        out[:] = np.argmax(xs @ head[:-1] + head[-1], axis=1)
+        return out
+    phi = np.empty((min(DEFAULT_BLOCK, len(xs)), fm.m))
     for start in range(0, len(xs), DEFAULT_BLOCK):
         stop = min(start + DEFAULT_BLOCK, len(xs))
-        rows = featurize_batch(model.features, xs[start:stop], out=phi[: stop - start])
+        rows = _features(fm.ab, fm.nonneg, xs[start:stop], out=phi[: stop - start])
         out[start:stop] = np.argmax(rows @ model.w, axis=1)
     return out
 

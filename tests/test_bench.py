@@ -384,10 +384,14 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("strategy", ["exact", "norm", "uniform"])
     def test_every_strategy_raises_non_finite(self, strategy):
         # One NaN input makes one NaN design row, whichever path meets it.
+        # Dataset rejects a NaN input, so it is written after construction:
+        # each design path must still reject the NaN row itself.
         rng = np.random.default_rng(6)
         inputs = rng.random((60, 4))
-        inputs[17, 2] = np.nan
         data = Dataset(inputs, np.arange(60) % 3)
+        data.inputs[17, 2] = np.nan
+        with pytest.raises(NonFinite):
+            Dataset(data.inputs, data.labels)
         fm = init_features(4, 30, rng)
         rec = RunRecord(
             kind="compare-sampling",

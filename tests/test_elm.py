@@ -338,6 +338,17 @@ def identity_model(d):
     return ElmModel(features=fm, w=np.eye(d))
 
 
+def mixed_map(d, m, rng):
+    """A map with weights and offsets of both signs, so the ReLU clips."""
+    return FeatureMap(a=rng.standard_normal((m, d)), b=rng.standard_normal(m))
+
+
+def relu_oracle(model, xs):
+    """Argmax of the class scores, every feature row formed and clamped."""
+    fm = model.features
+    return np.argmax(np.maximum(xs @ fm.a.T + fm.b, 0.0) @ model.w, axis=1)
+
+
 class TestPredict:
     def test_argmax_of_scores(self):
         model = identity_model(3)
@@ -358,8 +369,9 @@ class TestPredict:
             assert predict_batch(model, x[None, :])[0] == np.argmax(expected)
 
     def test_batch_matches_single(self, monkeypatch):
+        # A mixed-sign map, so every batch takes the blocked, featurized path.
         rng = np.random.default_rng(24)
-        fm = init_features(3, 5, rng)
+        fm = mixed_map(3, 5, rng)
         model = ElmModel(features=fm, w=rng.standard_normal((5, 4)))
         xs = rng.random((30, 3))
         monkeypatch.setattr(elm, "DEFAULT_BLOCK", 7)
@@ -369,13 +381,14 @@ class TestPredict:
         )
 
     def test_batch_holds_one_feature_block(self, monkeypatch):
-        """predict_batch featurizes into one DEFAULT_BLOCK x M buffer, so its
-        peak stays near one block however many rows it is given."""
+        """On the featurized path (a mixed-sign map) predict_batch featurizes
+        into one DEFAULT_BLOCK x M buffer, so its peak stays near one block
+        however many rows it is given."""
         monkeypatch.setattr(elm, "DEFAULT_BLOCK", 64)
         rng = np.random.default_rng(31)
         m = 400
         model = ElmModel(
-            features=init_features(8, m, rng), w=rng.standard_normal((m, 10))
+            features=mixed_map(8, m, rng), w=rng.standard_normal((m, 10))
         )
         xs = rng.random((640, 8))
         tracemalloc.start()
@@ -386,6 +399,80 @@ class TestPredict:
             tracemalloc.stop()
         block = 8 * 64 * m
         assert peak < 2 * block, peak / block
+
+    def test_folded_head_matches_featurized_scores(self):
+        # Nonnegative maps and inputs take the folded head.
+        for seed in range(12):
+            rng = np.random.default_rng([44, seed])
+            d, m, n_classes = rng.integers(1, 9), rng.integers(1, 40), rng.integers(2, 7)
+            model = ElmModel(features=init_features(d, m, rng),
+                             w=rng.standard_normal((m, n_classes)))
+            xs = rng.random((rng.integers(1, 60), d))
+            np.testing.assert_array_equal(
+                predict_batch(model, xs),
+                np.argmax(featurize_batch(model.features, xs) @ model.w, axis=1),
+            )
+
+    @pytest.mark.parametrize("case", ["mixed map", "negative input"])
+    def test_featurized_path_matches_relu_oracle(self, monkeypatch, case):
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 16)
+        rng = np.random.default_rng(45)
+        fm = mixed_map(5, 30, rng) if case == "mixed map" else init_features(5, 30, rng)
+        model = ElmModel(features=fm, w=rng.standard_normal((30, 4)))
+        xs = rng.random((50, 5))
+        if case == "negative input":
+            # One row of negative inputs, drawn until the clamp changes its
+            # label: the affine head would score that row wrongly.
+            z = xs[37] @ fm.a.T + fm.b
+            while np.argmax(z @ model.w) == np.argmax(np.maximum(z, 0.0) @ model.w):
+                xs[37] = -3.0 * rng.random(5)
+                z = xs[37] @ fm.a.T + fm.b
+        np.testing.assert_array_equal(predict_batch(model, xs), relu_oracle(model, xs))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_rows_and_shape_checks(self, sign):
+        # Both paths: sign 1 folds the head, sign -1 featurizes.
+        fm = FeatureMap(a=sign * np.ones((7, 3)), b=np.ones(7))
+        model = ElmModel(features=fm, w=np.ones((7, 2)))
+        empty = predict_batch(model, np.empty((0, 3)))
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        for xs in (np.zeros((0, 4)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(DimensionMismatch):
+                predict_batch(model, xs)
+
+    def test_nan_input_keeps_its_prediction(self):
+        """A NaN sends the batch down the featurized path. Its row's scores
+        are all NaN, and argmax takes the first NaN: label 0. The other rows
+        score as without it."""
+        rng = np.random.default_rng(5)
+        model = ElmModel(features=init_features(3, 6, rng),
+                         w=rng.standard_normal((6, 4)))
+        xs = rng.random((5, 3))
+        xs[2, 1] = np.nan
+        pred = predict_batch(model, xs)
+        assert pred[2] == 0
+        rest = [0, 1, 3, 4]
+        np.testing.assert_array_equal(pred[rest], predict_batch(model, xs[rest]))
+
+    def test_evaluate_featurizes_only_when_the_relu_can_clip(self, monkeypatch):
+        """An unoptimized model is affine on [0, 1] inputs, so evaluate forms
+        no feature row; a mixed-sign map featurizes every block."""
+        monkeypatch.setattr(elm, "DEFAULT_BLOCK", 8)
+        calls = []
+        features = elm._features
+
+        def counting(ab, nonneg, xs, out=None):
+            calls.append(len(xs))
+            return features(ab, nonneg, xs, out=out)
+
+        monkeypatch.setattr(elm, "_features", counting)
+        rng = np.random.default_rng(46)
+        ds = toy_dataset(rng, d=4, count=20, n_classes=3)
+        for fm, expected in ((init_features(4, 9, rng), []),
+                             (mixed_map(4, 9, rng), [8, 8, 4])):
+            calls.clear()
+            evaluate(ElmModel(features=fm, w=rng.standard_normal((9, 3))), ds)
+            assert calls == expected
 
     def test_invariant_under_common_rescale(self):
         rng = np.random.default_rng(25)
@@ -447,6 +534,21 @@ def far_from_kinks(rng, d=3, m=4, count=6, n_classes=2, margin=1e-3):
 
 
 class TestOptimizeFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        # A NaN input makes every loss NaN, which trips neither the
+        # divergence nor the best-loss comparison, so without the check the
+        # starting map came back as if optimized.
+        rng = np.random.default_rng(47)
+        inputs = rng.random((20, 3))
+        inputs[11, 1] = bad
+        labels = rng.integers(0, 3, 20)
+        fm = init_features(3, 5, rng)
+        model = ElmModel(features=fm, w=rng.standard_normal((5, 3)))
+        with pytest.raises(NonFinite):
+            optimize_features(model, Dataset(inputs=inputs, labels=labels),
+                              OptimizerConfig(learning_rate=1e-2, epochs=5))
+
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(28)
         fm = init_features(3, 5, rng)
