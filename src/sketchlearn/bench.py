@@ -96,7 +96,6 @@ class ExperimentSpec:
             if isinstance(values, str) or not isinstance(values, Iterable):
                 raise ValueError(f"parameter {name!r} must be a list, got {values!r}")
             values = tuple(values)
-            object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"parameter list {name!r} is empty")
             low = 0 if name == "seeds" else 1
@@ -106,6 +105,10 @@ class ExperimentSpec:
                     raise ValueError(f"unknown strategies {bad}")
             elif not all(is_number(v) and v >= low for v in values):
                 raise ValueError(f"{name} values must be integers >= {low}, got {values}")
+            else:
+                # Plain ints: numpy integers in a record do not write as JSON.
+                values = tuple(int(v) for v in values)
+            object.__setattr__(self, name, values)
         if self.subsample is not None and not (is_number(self.subsample) and self.subsample >= 1):
             raise ValueError(f"subsample must be an integer >= 1, got {self.subsample!r}")
         if self.data_dir is not None and not isinstance(self.data_dir, str):

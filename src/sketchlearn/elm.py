@@ -32,7 +32,6 @@ costs O(n M (d + L)) in ``DEFAULT_BLOCK``-row blocks.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass, field
 from numbers import Real
@@ -40,19 +39,16 @@ from numbers import Real
 import numpy as np
 
 from .errors import (
-    BadMagic,
     DimensionMismatch,
     Diverged,
     EmptyMatrix,
     LabelOutOfRange,
     NonFinite,
-    TruncatedFile,
     is_number,
 )
 from .linalg import LowRankFactors, apply_factors
 from .segtree import SegTreeMatrix
 
-MODEL_MAGIC = b"ELM1"
 # Rows featurized per block by build_design and predict_batch.
 DEFAULT_BLOCK = 512
 
@@ -106,7 +102,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "labels", np.asarray(self.labels))
         if self.inputs.ndim != 2 or self.labels.shape != (self.inputs.shape[0],):
             raise DimensionMismatch(
                 f"need inputs (D, d) and labels (D,), got "
@@ -118,6 +114,10 @@ class Dataset:
         # best-loss comparison trips.
         if not np.isfinite(self.inputs).all():
             raise NonFinite("dataset inputs must be finite")
+        # Float, bool or string labels are rejected, never truncated to a class.
+        if self.labels.dtype.kind not in "iu":
+            raise TypeError(f"labels must be integers, got dtype {self.labels.dtype}")
+        object.__setattr__(self, "labels", self.labels.astype(np.int64, copy=False))
 
     @property
     def count(self) -> int:
@@ -383,37 +383,3 @@ def optimize_features(
     if opt.epochs and _residual(_iterate_features(a, b, xs), w, y)[1] < best_loss:
         best_a, best_b = a, b
     return FeatureMap(a=best_a, b=best_b)
-
-
-def save_model(model: ElmModel, path) -> None:
-    """Write magic "ELM1", u32 dims (d, M, L), then A, b, W as f64, all LE."""
-    fm = model.features
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<III", fm.input_dim, fm.m, model.n_classes))
-        fh.write(np.ascontiguousarray(fm.a, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(fm.b, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.w, dtype="<f8").tobytes())
-
-
-def load_model(path) -> ElmModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MODEL_MAGIC:
-        raise BadMagic(f"expected {MODEL_MAGIC!r} header, got {blob[:4]!r}")
-    if len(blob) < 16:
-        raise TruncatedFile("model file shorter than its header")
-    d, m, n_classes = struct.unpack("<III", blob[4:16])
-    need = 16 + 8 * (m * d + m + m * n_classes)
-    if len(blob) != need:
-        raise TruncatedFile(f"model file has {len(blob)} bytes, expected {need}")
-    off = 16
-    a = np.frombuffer(blob, dtype="<f8", count=m * d, offset=off).reshape(m, d)
-    off += 8 * m * d
-    b = np.frombuffer(blob, dtype="<f8", count=m, offset=off)
-    off += 8 * m
-    w = np.frombuffer(blob, dtype="<f8", count=m * n_classes, offset=off)
-    return ElmModel(
-        features=FeatureMap(a=a, b=b),
-        w=w.reshape(m, n_classes).copy(),
-    )

@@ -443,6 +443,15 @@ class TestEmitReport:
                 assert type(value)(crow[col]) == value, col
             assert jrow["error"] is None
 
+    def test_json_from_numpy_integer_spec(self, tmp_path):
+        spec = tiny_spec(m=np.array([30]), k=(3,), p=(8,), seeds=np.arange(1),
+                         strategies=("norm",), subsample=100)
+        path = tmp_path / "r.json"
+        emit_report(run_experiment(spec), "json", path)
+        [row] = json.load(path.open())
+        assert (row["m"], row["seed"], row["error"]) == (30, 0, None)
+        assert all(type(v) is int for v in spec.m + spec.k + spec.p + spec.seeds)
+
     def test_json_includes_sampled_norms(self, tmp_path):
         rec = RunRecord(
             kind="sampled-norms", dataset="synthetic",

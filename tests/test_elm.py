@@ -15,22 +15,18 @@ from sketchlearn.elm import (
     featurize_batch,
     infer_classes,
     init_features,
-    load_model,
     onehot,
     optimize_features,
     predict_batch,
-    save_model,
     squared_loss,
     train,
 )
 from sketchlearn.errors import (
-    BadMagic,
     DimensionMismatch,
     Diverged,
     EmptyMatrix,
     LabelOutOfRange,
     NonFinite,
-    TruncatedFile,
 )
 from sketchlearn.linalg import svd_dense, truncated_pinv
 from sketchlearn.segtree import SegTreeMatrix
@@ -84,6 +80,13 @@ class TestInitFeatures:
                 Dataset(inputs=inputs, labels=labels)
         with pytest.raises(EmptyMatrix):
             Dataset(inputs=np.zeros((0, 2)), labels=np.zeros(0))
+        # Labels must be integers: none is truncated to a class.
+        for labels in ([0.5, 1.7, 2.0, 3.9], [True, False, True, False],
+                       ["1", "2", "0", "1"], [0.0, np.nan, 1.0, 2.0]):
+            with pytest.raises(TypeError):
+                Dataset(inputs=np.zeros((4, 2)), labels=labels)
+        ds = Dataset(inputs=np.zeros((2, 2)), labels=np.array([1, 0], dtype=np.uint8))
+        assert ds.labels.dtype == np.int64
         fm = init_features(2, 3, np.random.default_rng(0))
         for w in (np.zeros((2, 4)), np.zeros(3)):
             with pytest.raises(DimensionMismatch):
@@ -711,39 +714,3 @@ class TestOptimizeFeatures:
         m1 = train(fm1, ds, exact_pinv(build_design(fm1, ds).design))
         m2 = train(fm2, ds, exact_pinv(build_design(fm2, ds).design))
         np.testing.assert_array_equal(m1.w, m2.w)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(36)
-        fm = init_features(4, 6, rng)
-        model = ElmModel(features=fm, w=rng.standard_normal((6, 3)))
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        back = load_model(path)
-        np.testing.assert_array_equal(back.features.a, model.features.a)
-        np.testing.assert_array_equal(back.features.b, model.features.b)
-        np.testing.assert_array_equal(back.w, model.w)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "model.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(BadMagic):
-            load_model(path)
-
-    def test_truncated(self, tmp_path):
-        rng = np.random.default_rng(37)
-        fm = init_features(2, 3, rng)
-        model = ElmModel(features=fm, w=rng.standard_normal((3, 2)))
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(TruncatedFile):
-            load_model(path)
-        path.write_bytes(blob[:10])
-        with pytest.raises(TruncatedFile):
-            load_model(path)
-        path.write_bytes(blob + b"\x00" * 8)
-        with pytest.raises(TruncatedFile):
-            load_model(path)
