@@ -50,6 +50,8 @@ numpy, its BLAS and the BLAS thread settings.
 
 The snapshot is stored under its label in the output file; other labels
 already there are kept, so one file can hold a before/after pair.
+``--src`` needs a tree whose ``run_experiment`` returns a list of records;
+for an older tree, run that tree's own copy of this script.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ def measure_point(name: str) -> dict:
     warmups = 1 if repeats > 1 else 0
     records = []
     for _ in range(warmups + repeats):
-        (rec,) = run_experiment(spec).records
+        (rec,) = run_experiment(spec)
         if rec.error:
             raise RuntimeError(f"point {name} failed: {rec.error}")
         records.append(rec)

@@ -71,8 +71,8 @@ def fetch_mnist(data_dir: Path) -> None:
             else:
                 download(f"{MNIST_BASE}{name}.gz", data_dir / f"{name}.gz")
         paths = split_paths(data_dir, split, MNIST_FILES)
-        raw = verified(paths, lambda: load_mnist(*paths))
-        print(f"verified MNIST {split}: {raw.count} images")
+        _, labels = verified(paths, lambda: load_mnist(*paths))
+        print(f"verified MNIST {split}: {len(labels)} images")
 
 
 def fetch_cifar10(data_dir: Path) -> None:
@@ -93,8 +93,8 @@ def fetch_cifar10(data_dir: Path) -> None:
                         print(f"wrote {out_dir / name}")
     for split in CIFAR_FILES:
         paths = split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR)
-        raw = verified(paths, lambda: load_cifar10(paths))
-        print(f"verified CIFAR-10 {split}: {raw.count} images")
+        _, labels = verified(paths, lambda: load_cifar10(paths))
+        print(f"verified CIFAR-10 {split}: {len(labels)} images")
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,9 @@ the same seeded records exactly when they print the same digest:
     python3 scripts/record_digest.py --src ../parent/src
     python3 scripts/record_digest.py
 
+``--src`` needs a tree whose ``run_experiment`` returns a list of records;
+for an older tree, run that tree's own copy of this script.
+
 Timing fields are wall-clock and differ run to run; whether each one is
 set is part of the digest, since it records how far a point got.
 """
@@ -61,8 +64,8 @@ def record_lines() -> list[str]:
         spec = spec_of(kind, overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # reduced-rank sketches warn
-            report = run_experiment(spec)
-        for rec in report.records:
+            records = run_experiment(spec)
+        for rec in records:
             row = asdict(rec)
             row["timed"] = [name for name in TIMING_FIELDS if row.pop(name) is not None]
             row["spec"] = {k: list(v) if isinstance(v, tuple) else v

@@ -3,6 +3,8 @@
 Each sweep point owns RNG streams derived from its own parameters, so
 reports are reproducible regardless of execution order.
 A failing point is captured as an error record; sibling points still run.
+``run_experiment`` returns the sorted list of its records, and
+``emit_report`` writes that list as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
 
@@ -139,16 +141,6 @@ class RunRecord:
     total_s: float | None = None
     sampled_col_norms: list | None = None
     error: str | None = None
-
-
-@dataclass
-class RunReport:
-    spec: ExperimentSpec
-    records: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.error is None for r in self.records)
 
 
 def _seed_int(parts) -> int:
@@ -300,12 +292,12 @@ def _points(spec: ExperimentSpec) -> list:
     return points
 
 
-def run_experiment(spec: ExperimentSpec) -> RunReport:
+def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     """Run every point of the sweep; never aborts on a single point failure.
 
-    The data is made or loaded once, before the first point. Records are
-    sorted canonically by point parameters (``_points`` lists strategy
-    before ``p``, so the sort reorders them).
+    The data is made or loaded once, before the first point. Returns one
+    record per point, sorted canonically by point parameters (``_points``
+    lists strategy before ``p``, so the sort reorders them).
     """
     if spec.dataset == "synthetic" and spec.kind in MATRIX_KINDS:
         run_point = partial(_run_matrix_point, _load_matrix(spec))
@@ -322,15 +314,15 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         except Exception as exc:  # recorded, sweep continues
             rec.error = f"{type(exc).__name__}: {exc}"
     records.sort(key=lambda r: (r.kind, r.dataset, r.m, r.k, r.p, r.strategy, r.seed))
-    return RunReport(spec=spec, records=records)
+    return records
 
 
 def _csv_cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def emit_report(report: RunReport, fmt: str, path) -> None:
-    """Write the report as CSV (fixed column order) or JSON (records verbatim)."""
+def emit_report(records: list[RunRecord], fmt: str, path) -> None:
+    """Write the records as CSV (fixed column order) or JSON (records verbatim)."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
@@ -338,13 +330,13 @@ def emit_report(report: RunReport, fmt: str, path) -> None:
         if fmt == "csv":
             writer = csv.writer(out)
             writer.writerow(CSV_COLUMNS)
-            for r in report.records:
+            for r in records:
                 writer.writerow(
                     _csv_cell(getattr(r, _CSV_FIELDS.get(col, col)))
                     for col in CSV_COLUMNS
                 )
         else:
-            json.dump([asdict(r) for r in report.records], out, indent=2)
+            json.dump([asdict(r) for r in records], out, indent=2)
             out.write("\n")
     finally:
         if out is not sys.stdout:

@@ -74,12 +74,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_experiment(spec)
-        emit_report(report, args.format, args.out)
+        records = run_experiment(spec)
+        emit_report(records, args.format, args.out)
     except (SketchLearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failed = [r for r in report.records if r.error is not None]
+    failed = [r for r in records if r.error is not None]
     for r in failed:
         print(
             f"point M={r.m} K={r.k} P={r.p} {r.strategy} seed={r.seed} "

@@ -1,4 +1,8 @@
-"""Image dataset ingestion (IDX and CIFAR-10 binary) plus synthetic generators."""
+"""Image dataset ingestion (IDX and CIFAR-10 binary) plus synthetic generators.
+
+The readers return uint8 ``(pixels, labels)``: one row of pixel bytes per
+image and one label per row. ``normalize`` maps the bytes to [0, 1].
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import gzip
 import math
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,27 +40,6 @@ CIFAR_FILES = {
 }
 
 
-@dataclass(frozen=True)
-class RawImageSet:
-    count: int
-    height: int
-    width: int
-    channels: int
-    pixels: np.ndarray  # uint8, length count*height*width*channels
-    labels: np.ndarray  # uint8, length count
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.count * self.height * self.width * self.channels,):
-            raise TruncatedFile(
-                f"pixel buffer is {self.pixels.shape[0]} bytes, "
-                f"dims imply {self.count * self.height * self.width * self.channels}"
-            )
-        if self.labels.shape != (self.count,):
-            raise CountMismatch(
-                f"{self.labels.shape[0]} labels for {self.count} images"
-            )
-
-
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -84,18 +66,22 @@ def _read_idx(path, magic: int):
     return dims, np.frombuffer(blob, dtype=np.uint8, offset=header)
 
 
-def load_mnist(images_path, labels_path) -> RawImageSet:
-    """Parse an IDX image/label file pair (gzipped files are detected)."""
+def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an IDX image/label file pair (gzipped files are detected).
+
+    Returns uint8 ``(pixels, labels)``, shapes (count, height * width) and (count,).
+    """
     (count, height, width), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
     (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if label_count != count:
         raise CountMismatch(f"{count} images but {label_count} labels")
-    return RawImageSet(count, height, width, 1, pixels, labels)
+    return pixels.reshape(count, height * width), labels
 
 
-def load_cifar10(batch_paths) -> RawImageSet:
+def load_cifar10(batch_paths) -> tuple[np.ndarray, np.ndarray]:
     """Parse CIFAR-10 binary batches: 3073-byte records, label byte first.
 
+    Returns uint8 ``(pixels, labels)`` of shapes (count, 3072) and (count,).
     An empty list of batches is DatasetMissing.
     """
     pixel_parts = []
@@ -115,15 +101,12 @@ def load_cifar10(batch_paths) -> RawImageSet:
     if not label_parts:
         raise DatasetMissing("no CIFAR-10 batch files given")
     # concatenate copies, so neither array holds on to the file buffers.
-    labels = np.concatenate(label_parts)
-    pixels = np.concatenate(pixel_parts).reshape(-1)
-    return RawImageSet(labels.shape[0], 32, 32, 3, pixels, labels)
+    return np.concatenate(pixel_parts), np.concatenate(label_parts)
 
 
-def normalize(raw: RawImageSet) -> Dataset:
-    """Map pixel bytes to [0, 1] by /255 and flatten each image to a row."""
-    flat = raw.pixels.reshape(raw.count, raw.height * raw.width * raw.channels) / 255.0
-    return Dataset(inputs=flat, labels=raw.labels.astype(np.int64))
+def normalize(pixels, labels) -> Dataset:
+    """Map rows of pixel bytes to [0, 1] by /255."""
+    return Dataset(inputs=pixels / 255.0, labels=labels)
 
 
 def synth_lowrank(
@@ -200,8 +183,8 @@ def split_paths(data_dir, split: str, files: dict, subdir: str | None = None) ->
 
 
 def mnist_dataset(data_dir, split: str = "train") -> Dataset:
-    return normalize(load_mnist(*split_paths(data_dir, split, MNIST_FILES)))
+    return normalize(*load_mnist(*split_paths(data_dir, split, MNIST_FILES)))
 
 
 def cifar10_dataset(data_dir, split: str = "train") -> Dataset:
-    return normalize(load_cifar10(split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR)))
+    return normalize(*load_cifar10(split_paths(data_dir, split, CIFAR_FILES, CIFAR_SUBDIR)))

@@ -5,7 +5,8 @@ Features are phi_i(x) = relu(a_i . x + b_i) with a_i, b_i drawn uniform on
 so the M x L output weights solve W = pinv(design) @ onehot (D x L). A
 full-batch gradient loop over a_i, b_i with the output weights frozen, one
 step per epoch on the whole dataset, sharpens the feature map; re-solving
-the output weights afterwards completes the optimized pipeline.
+the output weights afterwards completes the optimized pipeline. Each
+step's iterate is a new ``FeatureMap``, checked finite as any map is.
 
 Featurization is one GEMM per block of ``DEFAULT_BLOCK`` rows: the block is
 copied beside a trailing ones column and multiplied by ``[a | b]``
@@ -175,24 +176,24 @@ def _nonneg(arr) -> bool:
     return bool(arr.min(initial=0.0) >= 0.0)
 
 
-def _features(ab, nonneg, xs, out=None) -> np.ndarray:
-    """relu(xs @ a.T + b) for ``ab = [a | b]``, in ``out`` if given.
+def _features(fm: FeatureMap, xs, out=None) -> np.ndarray:
+    """relu(xs @ a.T + b) for ``fm``'s ``a``, ``b``, in ``out`` if given.
 
-    ``nonneg`` says whether every entry of ``ab`` is >= 0. Each
-    ``DEFAULT_BLOCK`` rows of ``xs`` are copied into one reused buffer whose
-    last column is 1, and one GEMM writes their feature rows; the ReLU pass
-    runs only on a block where a pre-activation can be negative.
+    Each ``DEFAULT_BLOCK`` rows of ``xs`` are copied into one reused buffer
+    whose last column is 1, and one GEMM by ``fm.ab`` writes their feature
+    rows; the ReLU pass runs only on a block where a pre-activation can be
+    negative.
     """
     n = len(xs)
-    out = np.empty((n, len(ab))) if out is None else out
-    xa = np.empty((min(n, DEFAULT_BLOCK), ab.shape[1]))
+    out = np.empty((n, fm.m)) if out is None else out
+    xa = np.empty((min(n, DEFAULT_BLOCK), fm.input_dim + 1))
     xa[:, -1] = 1.0
     for start in range(0, n, DEFAULT_BLOCK):
         stop = min(start + DEFAULT_BLOCK, n)
         block = xa[: stop - start]
         block[:, :-1] = xs[start:stop]
-        z = np.matmul(block, ab.T, out=out[start:stop])
-        if not (nonneg and _nonneg(block)):
+        z = np.matmul(block, fm.ab.T, out=out[start:stop])
+        if not (fm.nonneg and _nonneg(block)):
             np.maximum(z, 0.0, out=z)
     return out
 
@@ -211,7 +212,7 @@ def featurize_batch(
     fm: FeatureMap, xs, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Feature rows for a batch: returns (len(xs), M), in ``out`` if given."""
-    return _features(fm.ab, fm.nonneg, _batch(fm, xs), out=out)
+    return _features(fm, _batch(fm, xs), out=out)
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ def predict_batch(model: ElmModel, xs) -> np.ndarray:
     phi = np.empty((min(DEFAULT_BLOCK, len(xs)), fm.m))
     for start in range(0, len(xs), DEFAULT_BLOCK):
         stop = min(start + DEFAULT_BLOCK, len(xs))
-        rows = _features(fm.ab, fm.nonneg, xs[start:stop], out=phi[: stop - start])
+        rows = _features(fm, xs[start:stop], out=phi[: stop - start])
         out[start:stop] = np.argmax(rows @ model.w, axis=1)
     return out
 
@@ -327,14 +328,8 @@ def squared_loss(model: ElmModel, ds: Dataset) -> float:
     return _residual(phi, model.w, y)[1]
 
 
-def _iterate_features(a, b, xs) -> np.ndarray:
-    """Feature rows under the optimizer's current ``a``, ``b``."""
-    ab = np.column_stack((a, b))
-    return _features(ab, _nonneg(ab), xs)
-
-
-def _loss_and_grads(a, b, w, xs, y):
-    phi = _iterate_features(a, b, xs)
+def _loss_and_grads(fm: FeatureMap, w, xs, y):
+    phi = _features(fm, xs)
     r, loss = _residual(phi, w, y)
     # dLoss/dz; the relu subgradient at exactly 0 is taken as 0, and
     # phi > 0 exactly where the preactivation is.
@@ -349,37 +344,37 @@ def optimize_features(
 
     Each epoch takes one full-batch step: the loss and gradients over the
     whole dataset, then a step of ``opt.learning_rate`` along the negative
-    gradient. Deterministic: no randomness enters. Returns the parameters
-    with the lowest full-set loss seen, so the result is never worse than
-    the starting map. The first epoch's loss is the starting loss, so E
-    epochs featurize the full set E + 1 times, and zero epochs return the
-    starting map without featurizing. Raises :class:`Diverged` if the loss
-    ever exceeds 10x its initial value.
+    gradient to a new map. Deterministic: no randomness enters. Returns the
+    map with the lowest full-set loss seen, so the result is never worse
+    than the starting map. E epochs featurize the full set E + 1 times:
+    once per step, then once to score the last step's map; zero epochs
+    return the starting map without featurizing. Raises :class:`Diverged`
+    if a loss exceeds 10x the starting loss or is NaN, and
+    :class:`NonFinite` if a step gives a parameter that is not finite.
     """
-    a = model.features.a.copy()
-    b = model.features.b.copy()
+    fm = best = model.features
+    if not opt.epochs:
+        return fm
     w = model.w
     xs = ds.inputs
     y = onehot(ds, model.n_classes)
     lr = opt.learning_rate
 
-    best_a, best_b = a.copy(), b.copy()
-    for epoch in range(opt.epochs):
-        loss, ga, gb = _loss_and_grads(a, b, w, xs, y)
-        # The first epoch's loss is the starting map's.
-        if epoch == 0:
-            loss0 = best_loss = loss
-        elif loss > 10.0 * loss0 and loss0 > 0.0:
-            raise Diverged(
-                f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
-                f"at epoch {epoch}"
-            )
-        elif loss < best_loss:
-            best_loss, best_a, best_b = loss, a.copy(), b.copy()
-        a -= lr * ga
-        b -= lr * gb
-    # Each epoch checks the loss before its step, so the last step's
-    # parameters are checked here.
-    if opt.epochs and _residual(_iterate_features(a, b, xs), w, y)[1] < best_loss:
-        best_a, best_b = a, b
-    return FeatureMap(a=best_a, b=best_b)
+    # Overflow ends in Diverged (loss) or NonFinite (parameters), not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss0, ga, gb = _loss_and_grads(fm, w, xs, y)
+        best_loss = loss0
+        for epoch in range(1, opt.epochs + 1):
+            fm = FeatureMap(a=fm.a - lr * ga, b=fm.b - lr * gb)
+            if epoch < opt.epochs:
+                loss, ga, gb = _loss_and_grads(fm, w, xs, y)
+            else:
+                loss = _residual(_features(fm, xs), w, y)[1]
+            if not loss <= 10.0 * loss0 and loss0 > 0.0:
+                raise Diverged(
+                    f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "
+                    f"at epoch {epoch}"
+                )
+            if loss < best_loss:
+                best_loss, best = loss, fm
+    return best

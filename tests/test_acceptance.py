@@ -56,12 +56,12 @@ def mnist_baseline_report():
         data_dir=_data_dir_str(),
     )
     try:
-        report = run_experiment(spec)
+        records = run_experiment(spec)
     except DatasetMissing as exc:
         pytest.skip(f"MNIST files unavailable: {exc}")
-    bad = [r.error for r in report.records if r.error]
+    bad = [r.error for r in records if r.error]
     assert not bad, f"sweep points failed: {bad}"
-    return report
+    return records
 
 
 @pytest.fixture(scope="session")
@@ -81,16 +81,16 @@ def mnist_optimized_report():
         data_dir=_data_dir_str(),
     )
     try:
-        report = run_experiment(spec)
+        records = run_experiment(spec)
     except DatasetMissing as exc:
         pytest.skip(f"MNIST files unavailable: {exc}")
-    bad = [r.error for r in report.records if r.error]
+    bad = [r.error for r in records if r.error]
     assert not bad, f"sweep points failed: {bad}"
-    return report
+    return records
 
 
-def strategy_accuracies(report, strategy):
-    return [r.accuracy for r in report.records if r.strategy == strategy]
+def strategy_accuracies(records, strategy):
+    return [r.accuracy for r in records if r.strategy == strategy]
 
 
 def test_criterion_01_low_rank_recovery():
@@ -228,9 +228,9 @@ def test_criterion_06_timing_ordering():
         seeds=(0,),
         subsample=2000,
     )
-    report = run_experiment(spec)
-    assert report.ok, [r.error for r in report.records if r.error]
-    recs = {r.strategy: r for r in report.records}
+    records = run_experiment(spec)
+    assert not [r.error for r in records if r.error]
+    recs = {r.strategy: r for r in records}
     exact_cost = recs["exact"].factorize_s + recs["exact"].solve_s
     for strategy in ("norm", "uniform"):
         sketch_cost = recs[strategy].factorize_s + recs[strategy].solve_s
@@ -260,12 +260,12 @@ def test_criterion_08_optimized_features_trend(mnist_optimized_report):
     """
     norm = {
         r.seed: r.accuracy
-        for r in mnist_optimized_report.records
+        for r in mnist_optimized_report
         if r.strategy == "norm"
     }
     uniform = {
         r.seed: r.accuracy
-        for r in mnist_optimized_report.records
+        for r in mnist_optimized_report
         if r.strategy == "uniform"
     }
     assert sorted(norm) == sorted(uniform)
@@ -295,7 +295,7 @@ def test_criterion_09_gradient_check():
             features=FeatureMap(a=a0, b=b0), w=rng.standard_normal((4, 2))
         )
         y = onehot(ds, 2)
-        _, ga, gb = _loss_and_grads(a0, b0, model.w, ds.inputs, y)
+        _, ga, gb = _loss_and_grads(model.features, model.w, ds.inputs, y)
 
         def loss_of(theta):
             a = theta[: a0.size].reshape(a0.shape)
@@ -329,10 +329,10 @@ def test_criterion_10_sampled_column_norms():
         epochs=40,
         learning_rate=5e-3,
     )
-    report = run_experiment(spec)
-    assert report.ok, [r.error for r in report.records if r.error]
+    records = run_experiment(spec)
+    assert not [r.error for r in records if r.error]
     pool = {"norm": [], "uniform": []}
-    for rec in report.records:
+    for rec in records:
         pool[rec.strategy].extend(rec.sampled_col_norms)
     norm_mean = float(np.mean(pool["norm"]))
     uniform_mean = float(np.mean(pool["uniform"]))

@@ -13,7 +13,6 @@ from sketchlearn.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
     RunRecord,
-    RunReport,
     _factors,
     _run_pass,
     emit_report,
@@ -50,6 +49,11 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def errors(records):
+    """The error of every failed record."""
+    return [r.error for r in records if r.error is not None]
 
 
 class TestSpecValidation:
@@ -108,12 +112,12 @@ class TestSpecValidation:
 
 class TestRunExperiment:
     def test_point_grid_and_metrics(self):
-        report = run_experiment(tiny_spec())
-        assert report.ok
+        records = run_experiment(tiny_spec())
+        assert not errors(records)
         # exact collapses the P list; sketches get one record per (p, seed)
-        assert len(report.records) == 6
+        assert len(records) == 6
         by_strategy = {}
-        for rec in report.records:
+        for rec in records:
             by_strategy.setdefault(rec.strategy, []).append(rec)
             assert rec.error is None
             assert 0.0 <= rec.accuracy <= 1.0
@@ -144,27 +148,27 @@ class TestRunExperiment:
             runs = [
                 [
                     {k: v for k, v in asdict(r).items() if not k.endswith("_s")}
-                    for r in run_experiment(spec).records
+                    for r in run_experiment(spec)
                 ]
                 for _ in range(2)
             ]
             assert runs[0] == runs[1]
 
     def test_seed_changes_sketch_result(self):
-        report = run_experiment(tiny_spec(strategies=("norm",)))
-        a0, a1 = [r.accuracy for r in report.records]
+        records = run_experiment(tiny_spec(strategies=("norm",)))
+        a0, a1 = [r.accuracy for r in records]
         # different seeds draw different sketches; identical values would
         # suggest the seed is not reaching the sampler
-        rec = report.records[0]
-        assert (a0, rec.seed) != (a1, report.records[1].seed)
+        rec = records[0]
+        assert (a0, rec.seed) != (a1, records[1].seed)
 
     def test_failing_point_is_isolated(self):
         # k > p is rejected by the sketch config, so the norm points fail
         # while the exact baseline still completes.
         spec = tiny_spec(k=(8,), p=(4,), strategies=("exact", "norm"), seeds=(0,))
-        report = run_experiment(spec)
-        assert not report.ok
-        by_strategy = {r.strategy: r for r in report.records}
+        records = run_experiment(spec)
+        assert errors(records)
+        by_strategy = {r.strategy: r for r in records}
         assert by_strategy["exact"].error is None
         assert by_strategy["exact"].accuracy is not None
         assert "ValueError" in by_strategy["norm"].error
@@ -174,7 +178,7 @@ class TestRunExperiment:
         # The sketch config rejects k > p after the design is built, so the
         # design's two timings are set and every later field stays None.
         spec = tiny_spec(k=(8,), p=(4,), strategies=("norm", "uniform"), seeds=(0,))
-        for rec in run_experiment(spec).records:
+        for rec in run_experiment(spec):
             assert "ValueError" in rec.error
             assert rec.featurize_s is not None and rec.tree_build_s is not None
             assert rec.factorize_s is None and rec.solve_s is None
@@ -192,7 +196,7 @@ class TestRunExperiment:
             epochs=2,
             learning_rate=1.0,
         )
-        for rec in run_experiment(spec).records:
+        for rec in run_experiment(spec):
             assert rec.error.startswith("Diverged")
             for name in ("featurize_s", "tree_build_s", "factorize_s", "solve_s"):
                 assert getattr(rec, name) >= 0.0
@@ -206,16 +210,16 @@ class TestRunExperiment:
             strategies=("norm", "uniform"),
             subsample=150,
         )
-        report = run_experiment(spec)
-        assert len(report.records) == 2
-        assert {r.strategy for r in report.records} == {"exact"}
-        assert sorted(r.m for r in report.records) == [30, 60]
+        records = run_experiment(spec)
+        assert len(records) == 2
+        assert {r.strategy for r in records} == {"exact"}
+        assert sorted(r.m for r in records) == [30, 60]
 
     def test_sweep_rank_reports_reconstruction_error(self):
         spec = ExperimentSpec(kind="sweep-rank", k=(5,), subsample=60)
-        report = run_experiment(spec)
-        assert report.ok
-        (rec,) = report.records
+        records = run_experiment(spec)
+        assert not errors(records)
+        (rec,) = records
         assert rec.strategy == "exact"
         # planted rank-5 matrix truncated at rank 5: error is numerically zero
         assert rec.accuracy <= 1e-8
@@ -230,10 +234,10 @@ class TestRunExperiment:
             seeds=(0, 1, 2),
             subsample=60,
         )
-        report = run_experiment(spec)
-        assert report.ok
-        assert len(report.records) == 6
-        for rec in report.records:
+        records = run_experiment(spec)
+        assert not errors(records)
+        assert len(records) == 6
+        for rec in records:
             assert rec.accuracy <= 0.05
 
     def test_sampled_norms_records_column_norms(self):
@@ -247,9 +251,9 @@ class TestRunExperiment:
             subsample=150,
             epochs=2,
         )
-        report = run_experiment(spec)
-        assert report.ok
-        for rec in report.records:
+        records = run_experiment(spec)
+        assert not errors(records)
+        for rec in records:
             assert len(rec.sampled_col_norms) == 12
             assert all(v >= 0.0 for v in rec.sampled_col_norms)
 
@@ -274,7 +278,7 @@ class TestRunExperiment:
             subsample=150,
             epochs=2,
         )
-        assert run_experiment(spec).ok
+        assert not errors(run_experiment(spec))
         assert sorted(strategies) == ["norm", "uniform"]
 
     def test_library_run_reads_data_dir_from_env(self, monkeypatch, tmp_path):
@@ -297,8 +301,8 @@ class TestRunExperiment:
             dataset="mnist", data_dir=str(mnist_dir), m=(20,), p=(12,), seeds=(0,),
             subsample=30,
         )
-        report = run_experiment(spec)
-        assert report.ok and len(report.records) == 3
+        records = run_experiment(spec)
+        assert not errors(records) and len(records) == 3
         ((train, test),) = loaded
         # 30 distinct rows of the 40 train images; the test split whole.
         assert (train.count, test.count, train.dim) == (30, 20, 16)
@@ -315,16 +319,16 @@ class TestRunExperiment:
             subsample=150,
             epochs=2,
         )
-        report = run_experiment(spec)
-        assert report.ok
-        (rec,) = report.records
+        records = run_experiment(spec)
+        assert not errors(records)
+        (rec,) = records
         assert 0.0 <= rec.accuracy <= 1.0
 
     def test_records_sorted_canonically(self):
         spec = tiny_spec(seeds=(1, 0), p=(24, 16))
         keys = [
             (r.m, r.k, r.p, r.strategy, r.seed)
-            for r in run_experiment(spec).records
+            for r in run_experiment(spec)
         ]
         assert keys == sorted(keys)
 
@@ -408,9 +412,8 @@ class TestNonFiniteInput:
 
 class TestEmitReport:
     def test_empty_report_is_header_only(self, tmp_path):
-        report = RunReport(spec=tiny_spec(), records=[])
         path = tmp_path / "out.csv"
-        emit_report(report, "csv", path)
+        emit_report([], "csv", path)
         assert path.read_text().strip() == ",".join(CSV_COLUMNS)
 
     def test_error_record_has_blank_cells(self, tmp_path):
@@ -420,20 +423,20 @@ class TestEmitReport:
             error="ValueError: boom",
         )
         path = tmp_path / "out.csv"
-        emit_report(RunReport(spec=tiny_spec(), records=[rec]), "csv", path)
-        rows = list(csv.DictReader(path.open()))
+        emit_report([rec], "csv", path)
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert rows[0]["accuracy"] == ""
         assert rows[0]["total_s"] == ""
         assert rows[0]["strategy"] == "norm"
 
     def test_csv_and_json_agree(self, tmp_path):
-        report = run_experiment(tiny_spec(seeds=(0,)))
+        records = run_experiment(tiny_spec(seeds=(0,)))
         cpath, jpath = tmp_path / "r.csv", tmp_path / "r.json"
-        emit_report(report, "csv", cpath)
-        emit_report(report, "json", jpath)
-        crows = list(csv.DictReader(cpath.open()))
-        jrows = json.load(jpath.open())
-        assert len(crows) == len(jrows) == len(report.records)
+        emit_report(records, "csv", cpath)
+        emit_report(records, "json", jpath)
+        crows = list(csv.DictReader(cpath.read_text().splitlines()))
+        jrows = json.loads(jpath.read_text())
+        assert len(crows) == len(jrows) == len(records)
         renamed = {"M": "m", "K": "k", "P": "p", "treeBuild_s": "tree_build_s"}
         for crow, jrow in zip(crows, jrows):
             assert list(crow) == list(CSV_COLUMNS)
@@ -448,7 +451,7 @@ class TestEmitReport:
                          strategies=("norm",), subsample=100)
         path = tmp_path / "r.json"
         emit_report(run_experiment(spec), "json", path)
-        [row] = json.load(path.open())
+        [row] = json.loads(path.read_text())
         assert (row["m"], row["seed"], row["error"]) == (30, 0, None)
         assert all(type(v) is int for v in spec.m + spec.k + spec.p + spec.seeds)
 
@@ -459,26 +462,20 @@ class TestEmitReport:
             sampled_col_norms=[1.5, 2.5],
         )
         path = tmp_path / "r.json"
-        emit_report(RunReport(spec=tiny_spec(), records=[rec]), "json", path)
-        assert json.load(path.open())[0]["sampled_col_norms"] == [1.5, 2.5]
+        emit_report([rec], "json", path)
+        assert json.loads(path.read_text())[0]["sampled_col_norms"] == [1.5, 2.5]
 
     def test_stdout_target(self, capsys):
-        report = RunReport(spec=tiny_spec(), records=[])
-        emit_report(report, "csv", "-")
+        emit_report([], "csv", "-")
         assert capsys.readouterr().out.strip() == ",".join(CSV_COLUMNS)
 
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report(RunReport(spec=tiny_spec(), records=[]), "xml",
-                        tmp_path / "r.xml")
+            emit_report([], "xml", tmp_path / "r.xml")
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            emit_report(
-                RunReport(spec=tiny_spec(), records=[]),
-                "csv",
-                tmp_path / "missing" / "r.csv",
-            )
+            emit_report([], "csv", tmp_path / "missing" / "r.csv")
 
 
 class TestCli:
@@ -498,7 +495,7 @@ class TestCli:
     def test_smoke(self, tmp_path):
         out = tmp_path / "run.csv"
         assert self.run_main(out=out) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1
         assert rows[0]["strategy"] == "norm"
         assert 0.0 <= float(rows[0]["accuracy"]) <= 1.0
@@ -532,7 +529,7 @@ class TestCli:
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         assert self.run_main("--format", "json", out=out) == 0
-        rows = json.load(out.open())
+        rows = json.loads(out.read_text())
         assert len(rows) == 1 and rows[0]["error"] is None
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -557,7 +554,7 @@ class TestCli:
             out = tmp_path / "run.csv"
             code = main(["--config", str(cfg), "--k", "3", "--out", str(out)])
             assert code == 0
-            rows = list(csv.DictReader(out.open()))
+            rows = list(csv.DictReader(out.read_text().splitlines()))
             assert [r["K"] for r in rows] == ["3"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -615,7 +612,7 @@ class TestCli:
         code = self.run_main("--k", "8", "--p", "4", out=out)
         assert code == 1
         assert "failed" in capsys.readouterr().err
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert rows[0]["accuracy"] == ""  # report still written
 
     def test_image_dataset_from_data_dir(self, mnist_dir, tmp_path):
@@ -625,7 +622,7 @@ class TestCli:
             "--format", "json", out=out,
         )
         assert code == 0
-        (row,) = json.load(out.open())
+        (row,) = json.loads(out.read_text())
         assert row["dataset"] == "mnist" and row["error"] is None
 
     def test_missing_dataset_dir_exits_1(self, tmp_path, capsys, monkeypatch):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sketchlearn.datasets import (
-    RawImageSet,
     cifar10_dataset,
     load_cifar10,
     load_mnist,
@@ -43,10 +42,11 @@ def idx_pair(tmp_path):
 class TestLoadMnist:
     def test_round_trip(self, idx_pair):
         img, lab, pixels, labels = idx_pair
-        raw = load_mnist(img, lab)
-        assert (raw.count, raw.height, raw.width, raw.channels) == (2, 4, 3, 1)
-        np.testing.assert_array_equal(raw.pixels, pixels.reshape(-1))
-        np.testing.assert_array_equal(raw.labels, labels)
+        got_pixels, got_labels = load_mnist(img, lab)
+        assert got_pixels.dtype == got_labels.dtype == np.uint8
+        assert (got_pixels.shape, got_labels.shape) == ((2, 12), (2,))
+        np.testing.assert_array_equal(got_pixels, pixels.reshape(2, -1))
+        np.testing.assert_array_equal(got_labels, labels)
 
     def test_gzipped_variant(self, idx_pair, tmp_path):
         img, lab, pixels, labels = idx_pair
@@ -54,9 +54,9 @@ class TestLoadMnist:
         gz_lab = tmp_path / "labs.gz"
         gz_img.write_bytes(gzip.compress(img.read_bytes()))
         gz_lab.write_bytes(gzip.compress(lab.read_bytes()))
-        raw = load_mnist(gz_img, gz_lab)
-        np.testing.assert_array_equal(raw.pixels, pixels.reshape(-1))
-        np.testing.assert_array_equal(raw.labels, labels)
+        got_pixels, got_labels = load_mnist(gz_img, gz_lab)
+        np.testing.assert_array_equal(got_pixels, pixels.reshape(2, -1))
+        np.testing.assert_array_equal(got_labels, labels)
 
     def test_wrong_image_magic(self, idx_pair, tmp_path):
         img, lab, pixels, _ = idx_pair
@@ -105,12 +105,11 @@ class TestLoadCifar10:
         blob, pixel_rows = cifar_batch_bytes([3, 9], rng)
         path = tmp_path / "data_batch_1.bin"
         path.write_bytes(blob)
-        raw = load_cifar10([path])
-        assert (raw.count, raw.height, raw.width, raw.channels) == (2, 32, 32, 3)
-        np.testing.assert_array_equal(raw.labels, [3, 9])
-        np.testing.assert_array_equal(
-            raw.pixels.reshape(2, -1), np.vstack(pixel_rows)
-        )
+        pixels, labels = load_cifar10([path])
+        assert pixels.dtype == labels.dtype == np.uint8
+        assert (pixels.shape, labels.shape) == ((2, 3072), (2,))
+        np.testing.assert_array_equal(labels, [3, 9])
+        np.testing.assert_array_equal(pixels, np.vstack(pixel_rows))
 
     def test_multiple_batches_concatenate(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -119,8 +118,9 @@ class TestLoadCifar10:
         p1, p2 = tmp_path / "b1.bin", tmp_path / "b2.bin"
         p1.write_bytes(b1)
         p2.write_bytes(b2)
-        raw = load_cifar10([p1, p2])
-        np.testing.assert_array_equal(raw.labels, [0, 5, 2])
+        pixels, labels = load_cifar10([p1, p2])
+        assert pixels.shape == (3, 3072)
+        np.testing.assert_array_equal(labels, [0, 5, 2])
 
     def test_partial_record_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -141,46 +141,25 @@ class TestLoadCifar10:
             load_cifar10([])
 
 
-class TestRawImageSet:
-    def test_rejects_buffers_that_disagree_with_dims(self):
-        dims = dict(count=2, height=2, width=2, channels=1)
-        with pytest.raises(TruncatedFile):
-            RawImageSet(**dims, pixels=np.zeros(7, np.uint8), labels=np.zeros(2, np.uint8))
-        with pytest.raises(CountMismatch):
-            RawImageSet(**dims, pixels=np.zeros(8, np.uint8), labels=np.zeros(3, np.uint8))
-
-
 class TestNormalize:
     def test_endpoints_and_scaling(self):
-        raw = RawImageSet(
-            count=1,
-            height=1,
-            width=4,
-            channels=1,
-            pixels=np.array([0, 255, 51, 102], dtype=np.uint8),
-            labels=np.array([2], dtype=np.uint8),
-        )
-        ds = normalize(raw)
+        ds = normalize(np.array([[0, 255, 51, 102]], dtype=np.uint8),
+                       np.array([2], dtype=np.uint8))
         np.testing.assert_allclose(ds.inputs[0], [0.0, 1.0, 0.2, 0.4])
         assert ds.labels.dtype == np.int64
 
     def test_range_and_order_preserved(self):
         rng = np.random.default_rng(4)
-        pix = rng.integers(0, 256, size=12, dtype=np.uint8)
-        raw = RawImageSet(
-            count=3, height=2, width=2, channels=1,
-            pixels=pix, labels=np.array([0, 1, 2], dtype=np.uint8),
-        )
-        ds = normalize(raw)
+        pix = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)
+        ds = normalize(pix, np.array([0, 1, 2], dtype=np.uint8))
         assert ds.inputs.shape == (3, 4)
         assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
-        order = np.argsort(pix[:4])
+        order = np.argsort(pix[0])
         np.testing.assert_array_equal(np.argsort(ds.inputs[0]), order)
 
     def test_no_images_is_an_empty_dataset(self):
-        empty = RawImageSet(0, 2, 2, 1, np.zeros(0, np.uint8), np.zeros(0, np.uint8))
         with pytest.raises(EmptyMatrix):
-            normalize(empty)
+            normalize(np.zeros((0, 4), np.uint8), np.zeros(0, np.uint8))
 
 
 class TestSynthLowrank:

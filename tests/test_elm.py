@@ -464,9 +464,9 @@ class TestPredict:
         calls = []
         features = elm._features
 
-        def counting(ab, nonneg, xs, out=None):
+        def counting(fm, xs, out=None):
             calls.append(len(xs))
-            return features(ab, nonneg, xs, out=out)
+            return features(fm, xs, out=out)
 
         monkeypatch.setattr(elm, "_features", counting)
         rng = np.random.default_rng(46)
@@ -539,9 +539,8 @@ def far_from_kinks(rng, d=3, m=4, count=6, n_classes=2, margin=1e-3):
 class TestOptimizeFeatures:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_rejected(self, bad):
-        # A NaN input makes every loss NaN, which trips neither the
-        # divergence nor the best-loss comparison, so without the check the
-        # starting map came back as if optimized.
+        # A NaN input would make every loss NaN; the dataset rejects it
+        # before anything is featurized.
         rng = np.random.default_rng(47)
         inputs = rng.random((20, 3))
         inputs[11, 1] = bad
@@ -567,8 +566,7 @@ class TestOptimizeFeatures:
             # A negative count would silently run zero epochs.
             ("epochs", -2),
             ("epochs", 2.5),
-            # A NaN loss never exceeds 10x the first one, so a NaN rate
-            # would never raise Diverged; the others are not step sizes.
+            # None of these is a step size; each is rejected before a run.
             ("learning_rate", float("nan")),
             ("learning_rate", float("inf")),
             ("learning_rate", -1e-3),
@@ -590,7 +588,7 @@ class TestOptimizeFeatures:
             model, ds = far_from_kinks(rng)
             y = onehot(ds, model.n_classes)
             a0, b0 = model.features.a, model.features.b
-            _, ga, gb = _loss_and_grads(a0, b0, model.w, ds.inputs, y)
+            _, ga, gb = _loss_and_grads(model.features, model.w, ds.inputs, y)
 
             def loss_of(theta):
                 a = theta[: a0.size].reshape(a0.shape)
@@ -640,7 +638,7 @@ class TestOptimizeFeatures:
         ds = toy_dataset(rng, count=12)
         model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
         y = onehot(ds, model.n_classes)
-        _, ga, gb = _loss_and_grads(fm.a, fm.b, model.w, ds.inputs, y)
+        _, ga, gb = _loss_and_grads(fm, model.w, ds.inputs, y)
         assert np.linalg.norm(ga) <= 1e-9
         assert np.linalg.norm(gb) <= 1e-9
 
@@ -662,7 +660,7 @@ class TestOptimizeFeatures:
     def test_full_set_featurized_once_per_epoch(self, monkeypatch):
         # One full-set loss per epoch, the first being the starting loss;
         # the epochs check the loss before their step, so the last step's
-        # parameters are evaluated once more at the end.
+        # map is scored once more at the end.
         rng = np.random.default_rng(33)
         fm = init_features(3, 5, rng)
         ds = toy_dataset(rng, count=10)
@@ -670,9 +668,9 @@ class TestOptimizeFeatures:
         full_set = []
         features = elm._features
 
-        def counting(ab, nonneg, xs, out=None):
+        def counting(fm, xs, out=None):
             full_set.append(len(xs) == ds.count)
-            return features(ab, nonneg, xs, out=out)
+            return features(fm, xs, out=out)
 
         monkeypatch.setattr(elm, "_features", counting)
         epochs = 5
@@ -702,6 +700,20 @@ class TestOptimizeFeatures:
         model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
         with pytest.raises(Diverged):
             optimize_features(model, ds, OptimizerConfig(learning_rate=1e4, epochs=50))
+
+    @pytest.mark.parametrize(
+        "epochs, lr, error",
+        # A step to an infinite parameter, and a last step whose loss
+        # overflows: neither may return the starting map as if optimized.
+        [(3, 1e308, NonFinite), (1, 1e305, Diverged)],
+    )
+    def test_overflowing_step_raises(self, epochs, lr, error):
+        rng = np.random.default_rng(0)
+        fm = init_features(3, 5, rng)
+        ds = Dataset(inputs=rng.random((10, 3)), labels=np.arange(10) % 2)
+        model = ElmModel(features=fm, w=rng.standard_normal((5, 2)))
+        with pytest.raises(error):
+            optimize_features(model, ds, OptimizerConfig(learning_rate=lr, epochs=epochs))
 
     def test_retrain_after_optimize_is_deterministic(self):
         rng = np.random.default_rng(35)

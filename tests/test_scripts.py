@@ -1,8 +1,10 @@
 """The bench specs that scripts/record_digest.py and scripts/bench_snapshot.py
-run: every one is built, as each script builds it, and none is run. The
-snapshot's evaluate process runs once, at a tiny size."""
+run: every one is built, as each script builds it, and none is run. Each
+script's own reading of ``run_experiment``'s records runs once on a tiny
+synthetic spec, and the snapshot's evaluate process once at a tiny size."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from sketchlearn.bench import ExperimentSpec
@@ -37,3 +39,32 @@ def test_bench_snapshot_evaluate_layers_run(monkeypatch):
     assert {"evaluate", "evaluate_mixed", "train", "featurize_mixed"} <= set(layers)
     for layer in layers.values():
         assert layer["repeats"] == 1 and 0.0 < layer["min_s"] <= layer["median_s"]
+
+
+TINY = dict(m=(20,), k=(3,), p=(6,), subsample=60)
+
+
+def test_record_digest_lines_run(monkeypatch):
+    script = load("record_digest")
+    overrides = dict(TINY, strategies=("exact", "norm"))
+    monkeypatch.setattr(script, "SPECS", (("compare-sampling", overrides),))
+    rows = [json.loads(line) for line in script.record_lines()]
+    # exact collapses the P list: one record per strategy and seed.
+    assert len(rows) == 2 * len(script.SEEDS)
+    for row in rows:
+        assert row["error"] is None
+        assert row["timed"] == list(script.TIMING_FIELDS)
+        assert row["spec"] == {k: list(v) if isinstance(v, tuple) else v
+                               for k, v in sorted(overrides.items())}
+
+
+def test_bench_snapshot_point_runs(monkeypatch):
+    script = load("bench_snapshot")
+    fields = dict(TINY, kind="compare-sampling", dataset="synthetic",
+                  strategies=("norm",), seeds=(0,))
+    monkeypatch.setattr(script, "POINTS", {"tiny_norm": (fields, 1)})
+    point = script.measure_point("tiny_norm")
+    assert point["point"] == "tiny_norm" and 0.0 <= point["accuracy"] <= 1.0
+    assert set(point["stages"]) == set(script.STAGES)
+    for stage in point["stages"].values():
+        assert stage["repeats"] == 1 and 0.0 <= stage["min_s"] == stage["median_s"]
