@@ -44,6 +44,7 @@ from .errors import (
     NonFinite,
     ZeroMatrix,
     ZeroRow,
+    is_number,
 )
 
 
@@ -171,7 +172,13 @@ class SegTreeMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "SegTreeMatrix":
-        """All-zero store to be filled incrementally via set_rows/update."""
+        """All-zero store to be filled incrementally via set_rows/update.
+
+        A non-integer or boolean dimension is a TypeError and one below 1
+        is EmptyMatrix, both raised before anything is allocated.
+        """
+        if not (is_number(rows) and is_number(cols)):
+            raise TypeError(f"dimensions must be integers, got {rows!r}x{cols!r}")
         if rows < 1 or cols < 1:
             raise EmptyMatrix(f"need positive dimensions, got {rows}x{cols}")
         t = cls.__new__(cls)

@@ -1,7 +1,8 @@
 """The bench specs that scripts/record_digest.py and scripts/bench_snapshot.py
 run: every one is built, as each script builds it, and none is run. Each
 script's own reading of ``run_experiment``'s records runs once on a tiny
-synthetic spec, and the snapshot's evaluate process once at a tiny size."""
+synthetic spec, and the snapshot's store and evaluate processes once each
+at a tiny size."""
 
 import importlib.util
 import json
@@ -38,6 +39,24 @@ def test_bench_snapshot_evaluate_layers_run(monkeypatch):
     layers = shape["layers"]
     assert {"evaluate", "evaluate_mixed", "train", "featurize_mixed"} <= set(layers)
     for layer in layers.values():
+        assert layer["repeats"] == 1 and 0.0 < layer["min_s"] <= layer["median_s"]
+
+
+def test_bench_snapshot_store_layers_run(monkeypatch):
+    script = load("bench_snapshot")
+    monkeypatch.setattr(script, "CORE_SHAPE", (64, 128))
+    monkeypatch.setattr(script, "CORE_P", (16,))
+    shape = script.measure(64, 128, 1)
+    assert (shape["rows"], shape["cols"]) == (64, 128)
+    core = ("core_svd", "build_s", "build_w", "lift", "lift_stu", "lift_qr",
+            "lift_xv", "pinv")
+    assert set(shape["layers"]) == {
+        "store_build", "store_fill", "sample_rows", "sample_cols_in_rows",
+        "draw_samples_norm", "draw_samples_uniform", "updates", "refresh",
+        "updates_plus_refresh", "update_then_read",
+        *(f"{name}_p16" for name in core),
+    }
+    for layer in shape["layers"].values():
         assert layer["repeats"] == 1 and 0.0 < layer["min_s"] <= layer["median_s"]
 
 

@@ -82,6 +82,14 @@ class TestBuild:
         t = SegTreeMatrix.zeros(3, 4)
         assert t.shape == (3, 4)
         assert t.fro_norm_sq() == 0.0
+        assert SegTreeMatrix.zeros(np.int64(3), np.int64(4)).shape == (3, 4)
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(3, 0.5), (True, 3), (3, 4.0), (np.float64(3), 4), ("3", 4)]
+    )
+    def test_zeros_rejects_non_integer_dimensions(self, rows, cols):
+        with pytest.raises(TypeError, match="integers"):
+            SegTreeMatrix.zeros(rows, cols)
 
     def test_rejects_bad_input(self):
         with pytest.raises(EmptyMatrix):
