@@ -25,7 +25,6 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -62,10 +61,7 @@ def record_lines() -> list[str]:
     lines = []
     for kind, overrides in SPECS:
         spec = spec_of(kind, overrides)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # reduced-rank sketches warn
-            records = run_experiment(spec)
-        for rec in records:
+        for rec in run_experiment(spec):
             row = asdict(rec)
             row["timed"] = [name for name in TIMING_FIELDS if row.pop(name) is not None]
             row["spec"] = {k: list(v) if isinstance(v, tuple) else v

@@ -110,6 +110,8 @@ class ExperimentSpec:
             else:
                 # Plain ints: numpy integers in a record do not write as JSON.
                 values = tuple(int(v) for v in values)
+            if len(set(values)) < len(values):
+                raise ValueError(f"parameter list {name!r} repeats a value: {values}")
             object.__setattr__(self, name, values)
         if self.subsample is not None and not (is_number(self.subsample) and self.subsample >= 1):
             raise ValueError(f"subsample must be an integer >= 1, got {self.subsample!r}")
@@ -253,6 +255,7 @@ def _run_classification_point(
     fm = elm.init_features(train.dim, rec.m, _rng([rec.seed, rec.m, _TAG_FEAT]))
     model, dr = _run_pass(rec, fm, train, n_classes, _TAG_SKETCH)
     if rec.kind in OPTIMIZED_KINDS:
+        del dr  # the first design and its store are not read again
         fm = elm.optimize_features(model, train, opt)
         model, dr = _run_pass(rec, fm, train, n_classes, _TAG_RESKETCH)
 

@@ -70,6 +70,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = build_spec(args)
+        if args.out != "-":  # append: fail before any point runs, truncate nothing
+            open(args.out, "a").close()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,15 +24,14 @@ re-orthonormalized before the final factors are formed (see
 :func:`reconstruct`), which removes the basis skew that otherwise floors
 the reconstruction error at O(1/sqrt(P)). The uniform strategy substitutes
 the flat laws f = 1/m, g = 1/n into the same estimator, which keeps the
-rescaling structure and needs no tree. The core's usable rank is
-:func:`~sketchlearn.linalg.usable_rank`, the rank floor the solve's
-pseudo-inverse uses too.
+rescaling structure and needs no tree. The lift keeps no more triplets
+than the core's :func:`~sketchlearn.linalg.usable_rank`, the rank floor
+the solve's pseudo-inverse cuts at too.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,17 +198,16 @@ def reconstruct(t, s: np.ndarray, w_svd: LowRankFactors, k: int) -> LowRankFacto
     orthonormalized (QR) and sigma_i, u_i recomputed as the norm and
     direction of X v_i; u_i takes v_i's QR sign, so u_i v_i^T is unaffected.
 
-    Requires ``k`` usable singular values (:func:`usable_rank`); use
-    :func:`modfkv` for the warn-and-reduce behavior.
+    Keeps the top ``min(k, usable_rank(w_svd))`` triplets, as ``truncated_pinv``
+    does, setting ``reduced`` when that is below ``k``; a core with no usable
+    singular value raises :class:`RankDeficientSketch`.
     """
     if not (is_number(k) and k >= 1):
         raise ValueError(f"k must be >= 1 and an integer, got {k!r}")
-    usable = usable_rank(w_svd)
-    if usable < k:
-        raise RankDeficientSketch(
-            f"sketch has {usable} usable singular values, need {k}"
-        )
-    v = (s.T @ w_svd.u[:, :k]) / w_svd.sigma[:k]
+    kept = min(k, usable_rank(w_svd))
+    if kept == 0:
+        raise RankDeficientSketch("core matrix has no usable singular values")
+    v = (s.T @ w_svd.u[:, :kept]) / w_svd.sigma[:kept]
     v = np.linalg.qr(v)[0]
     xv = _dense_of(t) @ v
     sigma = np.linalg.norm(xv, axis=0)
@@ -225,7 +223,7 @@ def reconstruct(t, s: np.ndarray, w_svd: LowRankFactors, k: int) -> LowRankFacto
     sigma = sigma[order]
     v = v[:, order]
     u = xv[:, order] / sigma
-    return LowRankFactors(sigma=sigma, u=u, v=v)
+    return LowRankFactors(sigma=sigma, u=u, v=v, reduced=kept < k)
 
 
 def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
@@ -234,23 +232,10 @@ def modfkv(t, cfg: SketchConfig) -> LowRankFactors:
     Deterministic for a fixed ``cfg.seed``: the draw is the first use of
     ``np.random.default_rng(cfg.seed)``, so a caller that needs the sampled
     indices re-derives them as
-    ``draw_samples(t, cfg, np.random.default_rng(cfg.seed))``. When the core
-    yields fewer than ``cfg.k`` usable singular values the result is reduced
-    to that rank with a warning (``reduced=True``); with none usable it
-    raises :class:`RankDeficientSketch`.
+    ``draw_samples(t, cfg, np.random.default_rng(cfg.seed))``. The lift makes
+    the one rank cut (:func:`reconstruct`): fewer than ``cfg.k`` usable core
+    values give that many triplets and ``reduced=True``, and none raises.
     """
-    rng = np.random.default_rng(cfg.seed)
-    d = draw_samples(t, cfg, rng)
+    d = draw_samples(t, cfg, np.random.default_rng(cfg.seed))
     s = build_s(t, d)
-    w_svd = svd_dense(build_w(s, d))
-    usable = usable_rank(w_svd)
-    if usable == 0:
-        raise RankDeficientSketch("core matrix has no usable singular values")
-    if usable >= cfg.k:
-        return reconstruct(t, s, w_svd, cfg.k)
-    warnings.warn(
-        f"sketch rank {usable} below requested {cfg.k}; returning reduced factors",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return replace(reconstruct(t, s, w_svd, usable), reduced=True)
+    return reconstruct(t, s, svd_dense(build_w(s, d)), cfg.k)

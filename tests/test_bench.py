@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import re
+import warnings
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import sketchlearn.bench as bench
+import sketchlearn.cli as cli
+import sketchlearn.elm as elm
 from sketchlearn.bench import (
     _TAG_SKETCH,
     CSV_COLUMNS,
@@ -103,6 +107,12 @@ class TestSpecValidation:
             dict(kind="compare-sampling", subsample=True),
             dict(kind="optimized-compare", learning_rate=True),
             dict(kind="compare-sampling", data_dir=5),
+            # A repeated sweep value would run the same point twice.
+            dict(kind="compare-sampling", m=(50, 50)),
+            dict(kind="sweep-rank", k=(3, 5, 3)),
+            dict(kind="compare-sampling", p=(16, np.int64(16))),
+            dict(kind="compare-sampling", strategies=("norm", "norm")),
+            dict(kind="compare-sampling", seeds=(0, 0)),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -240,6 +250,48 @@ class TestRunExperiment:
         for rec in records:
             assert rec.accuracy <= 0.05
 
+    def test_reduced_sketch_is_a_normal_record(self):
+        # K=8 is above the synthetic matrix's planted rank 5, so each sketch
+        # is cut to 5 triplets. The cut is reported by the factors' reduced
+        # flag alone, so the records do not depend on the warning filter.
+        spec = ExperimentSpec(
+            kind="sweep-samples",
+            k=(8,),
+            p=(40,),
+            strategies=("norm", "uniform"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_experiment(spec)
+        assert [r.strategy for r in records] == ["norm", "uniform"]
+        for rec in records:
+            assert rec.error is None
+            assert rec.accuracy < 1e-12
+
+    @pytest.mark.parametrize("strategy", ["exact", "norm", "uniform"])
+    def test_optimized_point_frees_first_design(self, strategy, monkeypatch):
+        # The first pass's design, and a norm point's store with it, is
+        # released before the optimizer and the second pass run.
+        designs, first_alive = [], []
+        build_design, optimize = elm.build_design, elm.optimize_features
+
+        def keep_ref(*args, **kwargs):
+            result = build_design(*args, **kwargs)
+            designs.append(weakref.ref(result))
+            return result
+
+        def check_first(*args, **kwargs):
+            first_alive.append(designs[0]() is not None)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(elm, "build_design", keep_ref)
+        monkeypatch.setattr(elm, "optimize_features", check_first)
+        spec = tiny_spec(kind="optimized-compare", m=(30,), p=(12,),
+                         strategies=(strategy,), seeds=(0,), epochs=1)
+        assert not errors(run_experiment(spec))
+        assert len(designs) == 2
+        assert first_alive == [False]
+
     def test_sampled_norms_records_column_norms(self):
         spec = ExperimentSpec(
             kind="sampled-norms",
@@ -333,7 +385,7 @@ class TestRunExperiment:
         assert keys == sorted(keys)
 
 
-def sampled_norms_point(x, k, p):
+def sampled_norms_factors(x, k, p):
     """Factorize a given design as one uniform sampled-norms point would."""
     rec = RunRecord(
         kind="sampled-norms",
@@ -344,7 +396,7 @@ def sampled_norms_point(x, k, p):
         strategy="uniform",
         seed=0,
     )
-    return truncated_pinv(_factors(rec, x, None, _TAG_SKETCH), k)
+    return _factors(rec, x, None, _TAG_SKETCH)
 
 
 class TestSampledNormsSketchPath:
@@ -353,13 +405,15 @@ class TestSampledNormsSketchPath:
         x = np.zeros((40, 40))
         x[7, 11] = 1.0
         with pytest.raises(RankDeficientSketch):
-            sampled_norms_point(x, k=1, p=2)
+            sampled_norms_factors(x, k=1, p=2)
 
-    def test_reduced_rank_warns(self):
+    def test_reduced_rank_cuts_without_warning(self):
         x = np.outer(np.arange(1.0, 41.0), np.linspace(0.5, 2.0, 30))
-        with pytest.warns(RuntimeWarning, match="reduced"):
-            pinv = sampled_norms_point(x, k=3, p=10)
-        assert pinv.k == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = sampled_norms_factors(x, k=3, p=10)
+        assert f.k == 1 and f.reduced
+        assert truncated_pinv(f, 3).k == 1
 
 
 class TestExactPoint:
@@ -578,6 +632,8 @@ class TestCli:
             ("--epochs", "-2"),
             ("--lr", "nan"),
             ("--lr=-1e-3",),
+            ("--strategy", "norm", "norm", "--seeds", "0", "0"),
+            ("--m", "40", "40"),
         ],
     )
     def test_out_of_range_flag_exits_2(self, flags, tmp_path, capsys):
@@ -606,6 +662,24 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["--config", str(cfg)]) == 2
+
+    def test_unwritable_out_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        def never(spec):
+            raise AssertionError("a point ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        out = tmp_path / "missing" / "run.csv"
+        assert self.run_main(out=out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert self.run_main(out=tmp_path) == 2  # a directory
+
+    def test_out_checked_without_truncating(self, tmp_path, monkeypatch):
+        # A run that fails as a whole leaves an existing report as it was.
+        monkeypatch.delenv("SKETCHLEARN_DATA_DIR", raising=False)
+        out = tmp_path / "run.csv"
+        out.write_text("earlier report\n")
+        assert self.run_main("--dataset", "mnist", out=out) == 1
+        assert out.read_text() == "earlier report\n"
 
     def test_failed_points_exit_1(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

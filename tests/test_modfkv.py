@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -314,22 +315,28 @@ class TestReconstruct:
         assert medians[0] >= medians[1] >= medians[2]
         assert medians[2] < medians[0]
 
-    def test_rank_deficient_request_rejected(self):
+    def test_rank_deficient_request_reduced(self):
+        # The lift keeps min(k, usable_rank) triplets, as truncated_pinv does,
+        # and reports the cut by its reduced flag alone.
         x = np.outer(np.ones(4), np.arange(1.0, 5.0))
         t = SegTreeMatrix(x)
         d = draw_samples(t, SketchConfig(k=2, p=6), np.random.default_rng(16))
         s = build_s(t, d)
         w_svd = svd_dense(build_w(s, d))
         assert usable_rank(w_svd) == 1
-        with pytest.raises(RankDeficientSketch):
-            reconstruct(t, s, w_svd, 2)
+        f = reconstruct(t, s, w_svd, 2)
+        assert f.k == 1 and f.reduced
+        assert rel_err(materialize(f), x) <= 1e-12
+        with pytest.raises(RankDeficientSketch, match="no usable"):
+            reconstruct(t, s, svd_dense(np.zeros((6, 6))), 2)
         with pytest.raises(ValueError, match="k must be >= 1"):
             reconstruct(t, s, w_svd, 0)
         # A bool is no rank and a float is never truncated to one.
         for k in (True, 2.0):
             with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
                 reconstruct(t, s, w_svd, k)
-        assert reconstruct(t, s, w_svd, np.int64(1)).sigma.size == 1
+        f = reconstruct(t, s, w_svd, np.int64(1))
+        assert f.sigma.size == 1 and not f.reduced
 
     def test_direction_in_null_space_rejected(self):
         # Column 1 of X is zero and the sketch's one row sits on it, so the
@@ -378,10 +385,11 @@ class TestModfkv:
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.v, f2.v)
 
-    def test_warns_and_reduces_on_rank_deficit(self):
+    def test_reduces_on_rank_deficit_without_warning(self):
         x = np.outer(np.arange(1.0, 6.0), np.ones(7))
         t = SegTreeMatrix(x)
-        with pytest.warns(RuntimeWarning, match="reduced"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             f = modfkv(t, SketchConfig(k=3, p=8, seed=0))
         assert f.k == 1
         assert f.reduced

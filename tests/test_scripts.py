@@ -1,13 +1,15 @@
 """The bench specs that scripts/record_digest.py and scripts/bench_snapshot.py
 run: every one is built, as each script builds it, and none is run. Each
-script's own reading of ``run_experiment``'s records runs once on a tiny
-synthetic spec, and the snapshot's store and evaluate processes once each
-at a tiny size."""
+script's own reading of ``run_experiment``'s records runs on tiny synthetic
+specs (the digest's with reduced sketches, under an error warning filter),
+and the snapshot's store and evaluate processes once each at a tiny size."""
 
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
+import sketchlearn.bench as bench
 from sketchlearn.bench import ExperimentSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -66,15 +68,31 @@ TINY = dict(m=(20,), k=(3,), p=(6,), subsample=60)
 def test_record_digest_lines_run(monkeypatch):
     script = load("record_digest")
     overrides = dict(TINY, strategies=("exact", "norm"))
-    monkeypatch.setattr(script, "SPECS", (("compare-sampling", overrides),))
-    rows = [json.loads(line) for line in script.record_lines()]
+    # K=8 above the planted rank 5: every sketch comes back reduced.
+    reduced = dict(k=(8,), p=(40,), strategies=("norm", "uniform"), subsample=60)
+    monkeypatch.setattr(script, "SPECS", (("compare-sampling", overrides),
+                                          ("sweep-samples", reduced)))
+    # The script runs each spec under its caller's warning filter.
+    actions = []
+    run = bench.run_experiment
+
+    def run_noting_filter(spec):
+        actions.append(warnings.filters[0][0])
+        return run(spec)
+
+    monkeypatch.setattr(bench, "run_experiment", run_noting_filter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = [json.loads(line) for line in script.record_lines()]
+    assert actions == ["error", "error"]
     # exact collapses the P list: one record per strategy and seed.
-    assert len(rows) == 2 * len(script.SEEDS)
-    for row in rows:
+    assert len(rows) == 4 * len(script.SEEDS)
+    specs = [overrides] * (2 * len(script.SEEDS)) + [reduced] * (2 * len(script.SEEDS))
+    for row, spec in zip(rows, specs):
         assert row["error"] is None
         assert row["timed"] == list(script.TIMING_FIELDS)
         assert row["spec"] == {k: list(v) if isinstance(v, tuple) else v
-                               for k, v in sorted(overrides.items())}
+                               for k, v in sorted(spec.items())}
 
 
 def test_bench_snapshot_point_runs(monkeypatch):
