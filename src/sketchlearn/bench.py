@@ -23,7 +23,7 @@ import numpy as np
 from . import datasets as dsets
 from . import elm
 from .errors import is_number
-from .linalg import LowRankFactors, svd_dense, truncated_pinv, usable_rank
+from .linalg import LowRankFactors, svd_dense, truncate, truncated_pinv
 from .modfkv import STRATEGIES as SKETCH_STRATEGIES, SketchConfig, draw_samples, modfkv
 from .segtree import SegTreeMatrix
 
@@ -214,12 +214,10 @@ def _sketch_config(rec: RunRecord, tag: int) -> SketchConfig:
 
 
 def _factors(rec: RunRecord, x: np.ndarray, tree, tag: int) -> LowRankFactors:
-    """The harness's one factorization: exact is the SVD cut to its top
-    ``min(k, usable_rank)`` triplets; a sketch runs on ``tree`` if given."""
+    """The harness's one factorization: exact is the SVD cut by
+    ``linalg.truncate``; a sketch runs on ``tree`` if given."""
     if rec.strategy == "exact":
-        svd = svd_dense(x)
-        kk = min(rec.k, usable_rank(svd))
-        return LowRankFactors(u=svd.u[:, :kk], sigma=svd.sigma[:kk], v=svd.v[:, :kk])
+        return truncate(svd_dense(x), rec.k)
     return modfkv(x if tree is None else tree, _sketch_config(rec, tag))
 
 

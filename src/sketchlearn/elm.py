@@ -50,7 +50,7 @@ from .errors import (
 from .linalg import LowRankFactors, apply_factors
 from .segtree import SegTreeMatrix
 
-# Rows featurized per block by build_design and predict_batch.
+# Rows per featurize_batch GEMM, per store write and per scoring block.
 DEFAULT_BLOCK = 512
 
 
@@ -176,14 +176,26 @@ def _nonneg(arr) -> bool:
     return bool(arr.min(initial=0.0) >= 0.0)
 
 
-def _features(fm: FeatureMap, xs, out=None) -> np.ndarray:
-    """relu(xs @ a.T + b) for ``fm``'s ``a``, ``b``, in ``out`` if given.
+def _batch(fm: FeatureMap, xs) -> np.ndarray:
+    """``xs`` as a float64 (n, d) array for ``fm``'s input width d."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != fm.input_dim:
+        raise DimensionMismatch(
+            f"batch of width {fm.input_dim} required, got shape {xs.shape}"
+        )
+    return xs
+
+
+def featurize_batch(fm: FeatureMap, xs, out: np.ndarray | None = None) -> np.ndarray:
+    """The package's one featurizer: relu(xs @ a.T + b), (len(xs), M), in
+    ``out`` if given.
 
     Each ``DEFAULT_BLOCK`` rows of ``xs`` are copied into one reused buffer
     whose last column is 1, and one GEMM by ``fm.ab`` writes their feature
     rows; the ReLU pass runs only on a block where a pre-activation can be
     negative.
     """
+    xs = _batch(fm, xs)
     n = len(xs)
     out = np.empty((n, fm.m)) if out is None else out
     xa = np.empty((min(n, DEFAULT_BLOCK), fm.input_dim + 1))
@@ -196,23 +208,6 @@ def _features(fm: FeatureMap, xs, out=None) -> np.ndarray:
         if not (fm.nonneg and _nonneg(block)):
             np.maximum(z, 0.0, out=z)
     return out
-
-
-def _batch(fm: FeatureMap, xs) -> np.ndarray:
-    """``xs`` as a float64 (n, d) array for ``fm``'s input width d."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != fm.input_dim:
-        raise DimensionMismatch(
-            f"batch of width {fm.input_dim} required, got shape {xs.shape}"
-        )
-    return xs
-
-
-def featurize_batch(
-    fm: FeatureMap, xs, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Feature rows for a batch: returns (len(xs), M), in ``out`` if given."""
-    return _features(fm, _batch(fm, xs), out=out)
 
 
 @dataclass(frozen=True)
@@ -233,28 +228,29 @@ class DesignResult:
 def build_design(fm: FeatureMap, ds: Dataset, with_tree: bool = True) -> DesignResult:
     """Featurize the dataset in one streaming pass.
 
-    Feature rows are produced ``DEFAULT_BLOCK`` at a time and fed straight
-    into the segment tree; the dense matrix is never rescanned to build the
-    tree.
+    Without a tree the design is one :func:`featurize_batch` call. With
+    one, feature rows are produced ``DEFAULT_BLOCK`` at a time into one
+    reused buffer and fed straight into the segment tree, whose storage is
+    the design; the dense matrix is never rescanned to build the tree.
     """
+    if not with_tree:
+        t0 = time.perf_counter()
+        design = featurize_batch(fm, ds.inputs)
+        return DesignResult(design, None, time.perf_counter() - t0, 0.0)
     d = ds.count
-    tree = SegTreeMatrix.zeros(d, fm.m) if with_tree else None
-    design = tree.dense if with_tree else np.empty((d, fm.m))
-    # With a tree the rows pass through one reused buffer into the store.
-    phi = np.empty((min(DEFAULT_BLOCK, d), fm.m)) if with_tree else None
+    tree = SegTreeMatrix.zeros(d, fm.m)
+    phi = np.empty((min(DEFAULT_BLOCK, d), fm.m))
     feat_s = 0.0
     tree_s = 0.0
     for start in range(0, d, DEFAULT_BLOCK):
         stop = min(start + DEFAULT_BLOCK, d)
         t0 = time.perf_counter()
-        out = phi[: stop - start] if with_tree else design[start:stop]
-        rows = featurize_batch(fm, ds.inputs[start:stop], out=out)
+        rows = featurize_batch(fm, ds.inputs[start:stop], out=phi[: stop - start])
         t1 = time.perf_counter()
         feat_s += t1 - t0
-        if with_tree:
-            tree.set_rows(start, rows)
-            tree_s += time.perf_counter() - t1
-    return DesignResult(design=design, tree=tree, featurize_s=feat_s, tree_build_s=tree_s)
+        tree.set_rows(start, rows)
+        tree_s += time.perf_counter() - t1
+    return DesignResult(tree.dense, tree, feat_s, tree_s)
 
 
 def onehot(ds: Dataset, n_classes: int) -> np.ndarray:
@@ -305,7 +301,7 @@ def predict_batch(model: ElmModel, xs) -> np.ndarray:
     phi = np.empty((min(DEFAULT_BLOCK, len(xs)), fm.m))
     for start in range(0, len(xs), DEFAULT_BLOCK):
         stop = min(start + DEFAULT_BLOCK, len(xs))
-        rows = _features(fm, xs[start:stop], out=phi[: stop - start])
+        rows = featurize_batch(fm, xs[start:stop], out=phi[: stop - start])
         out[start:stop] = np.argmax(rows @ model.w, axis=1)
     return out
 
@@ -329,7 +325,7 @@ def squared_loss(model: ElmModel, ds: Dataset) -> float:
 
 
 def _loss_and_grads(fm: FeatureMap, w, xs, y):
-    phi = _features(fm, xs)
+    phi = featurize_batch(fm, xs)
     r, loss = _residual(phi, w, y)
     # dLoss/dz; the relu subgradient at exactly 0 is taken as 0, and
     # phi > 0 exactly where the preactivation is.
@@ -369,7 +365,7 @@ def optimize_features(
             if epoch < opt.epochs:
                 loss, ga, gb = _loss_and_grads(fm, w, xs, y)
             else:
-                loss = _residual(_features(fm, xs), w, y)[1]
+                loss = _residual(featurize_batch(fm, xs), w, y)[1]
             if not loss <= 10.0 * loss0 and loss0 > 0.0:
                 raise Diverged(
                     f"loss {loss:.3g} exceeded 10x initial {loss0:.3g} "

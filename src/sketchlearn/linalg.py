@@ -6,7 +6,7 @@ baseline: LAPACK through ``numpy.linalg.svd``. Every factorization here, an
 economy SVD, a sketch or a pseudo-inverse, is one type,
 :class:`LowRankFactors`. One rank floor serves the sketch and the solve:
 :func:`usable_rank` counts the singular values above ``DEFAULT_RCOND``
-times the largest, and :func:`truncated_pinv` keeps no more than those.
+times the largest, and :func:`truncate` keeps no more than those.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ class LowRankFactors:
     nonincreasing and nonnegative. Truncated and sketch-produced factors
     keep only strictly positive ``sigma``; sketch factors are only
     approximately orthonormal. ``reduced`` marks that the rcond floor
-    dropped singular values below the requested rank.
+    cut below the requested rank: a cut of ``f`` to ``k`` sets it when
+    ``f.reduced`` or fewer than ``min(k, f.k)`` triplets are kept.
     """
 
     u: np.ndarray
@@ -85,28 +86,31 @@ def usable_rank(f: LowRankFactors) -> int:
     return int(np.count_nonzero(f.sigma > DEFAULT_RCOND * top))
 
 
-def truncated_pinv(f: LowRankFactors, k: int) -> LowRankFactors:
-    """Factors of the rank-``k`` truncated pseudo-inverse.
+def truncate(f: LowRankFactors, k: int) -> LowRankFactors:
+    """The top ``min(k, usable_rank(f))`` triplets of ``f``, as views.
 
-    Keeps the top ``k' = min(k, usable_rank(f))`` triplets and returns
-    factors representing ``sum_i (1/sigma_i) v_i u_i^T``; the roles of U
-    and V swap so the result maps the codomain back to the domain. Raises
-    :class:`AllSingularValuesFiltered` when nothing survives the floor.
+    ``reduced`` is ``f.reduced or kept < min(k, f.k)``. Raises
+    :class:`AllSingularValuesFiltered` when no singular value is usable.
     """
     if not (is_number(k) and k >= 1):
         raise ValueError(f"rank must be >= 1 and an integer, got {k!r}")
-    u, sigma, v = f.u, f.sigma, f.v
     kept = min(k, usable_rank(f))
     if kept == 0:
         raise AllSingularValuesFiltered(
             f"no singular values above rcond={DEFAULT_RCOND} floor"
         )
-    return LowRankFactors(
-        sigma=1.0 / sigma[:kept],
-        u=v[:, :kept].copy(),
-        v=u[:, :kept].copy(),
-        reduced=kept < min(k, sigma.size),
-    )
+    return LowRankFactors(u=f.u[:, :kept], sigma=f.sigma[:kept], v=f.v[:, :kept],
+                          reduced=f.reduced or kept < min(k, f.k))
+
+
+def truncated_pinv(f: LowRankFactors, k: int) -> LowRankFactors:
+    """The rank-``k`` truncated pseudo-inverse ``sum_i (1/sigma_i) v_i u_i^T``
+    over the triplets ``truncate(f, k)`` keeps, with its ``reduced``. U and V
+    swap roles, so the result maps the codomain back to the domain.
+    """
+    t = truncate(f, k)
+    return LowRankFactors(sigma=1.0 / t.sigma, u=t.v.copy(), v=t.u.copy(),
+                          reduced=t.reduced)
 
 
 def apply_factors(f: LowRankFactors, y: np.ndarray) -> np.ndarray:

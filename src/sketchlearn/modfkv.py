@@ -198,9 +198,10 @@ def reconstruct(t, s: np.ndarray, w_svd: LowRankFactors, k: int) -> LowRankFacto
     orthonormalized (QR) and sigma_i, u_i recomputed as the norm and
     direction of X v_i; u_i takes v_i's QR sign, so u_i v_i^T is unaffected.
 
-    Keeps the top ``min(k, usable_rank(w_svd))`` triplets, as ``truncated_pinv``
-    does, setting ``reduced`` when that is below ``k``; a core with no usable
-    singular value raises :class:`RankDeficientSketch`.
+    Keeps the top ``min(k, usable_rank(w_svd))`` triplets, ``reduced`` when
+    below ``k``: ``linalg.truncate``'s rule for the ``k <= P`` that
+    ``SketchConfig`` ensures, through this module's traced ``usable_rank``.
+    A core with no usable singular value raises :class:`RankDeficientSketch`.
     """
     if not (is_number(k) and k >= 1):
         raise ValueError(f"k must be >= 1 and an integer, got {k!r}")

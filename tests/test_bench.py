@@ -414,6 +414,7 @@ class TestSampledNormsSketchPath:
             f = sampled_norms_factors(x, k=3, p=10)
         assert f.k == 1 and f.reduced
         assert truncated_pinv(f, 3).k == 1
+        assert truncated_pinv(f, 3).reduced
 
 
 class TestExactPoint:
@@ -436,6 +437,23 @@ class TestExactPoint:
         assert np.linalg.matrix_rank(dr.design) < rec.k
         expected = train(fm, data, truncated_pinv(svd_dense(dr.design), rec.k), 3)
         np.testing.assert_array_equal(model.w, expected.w)
+
+    def test_factors_flag_the_floor_cut(self):
+        # K=8 above the matrix kinds' planted rank 5: the exact factors keep
+        # 5 triplets, and say so as a sketch does.
+        x = bench._load_matrix(ExperimentSpec(kind="sweep-rank", subsample=60))
+        rec = RunRecord(
+            kind="sweep-rank",
+            dataset="synthetic",
+            m=1,
+            k=8,
+            p=0,
+            strategy="exact",
+            seed=0,
+        )
+        f = _factors(rec, x, None, _TAG_SKETCH)
+        assert f.k == 5 and f.reduced
+        assert truncated_pinv(f, rec.k).reduced
 
 
 class TestNonFiniteInput:

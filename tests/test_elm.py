@@ -462,13 +462,13 @@ class TestPredict:
         no feature row; a mixed-sign map featurizes every block."""
         monkeypatch.setattr(elm, "DEFAULT_BLOCK", 8)
         calls = []
-        features = elm._features
+        features = elm.featurize_batch
 
         def counting(fm, xs, out=None):
             calls.append(len(xs))
             return features(fm, xs, out=out)
 
-        monkeypatch.setattr(elm, "_features", counting)
+        monkeypatch.setattr(elm, "featurize_batch", counting)
         rng = np.random.default_rng(46)
         ds = toy_dataset(rng, d=4, count=20, n_classes=3)
         for fm, expected in ((init_features(4, 9, rng), []),
@@ -666,13 +666,13 @@ class TestOptimizeFeatures:
         ds = toy_dataset(rng, count=10)
         model = train(fm, ds, exact_pinv(build_design(fm, ds).design))
         full_set = []
-        features = elm._features
+        features = elm.featurize_batch
 
         def counting(fm, xs, out=None):
             full_set.append(len(xs) == ds.count)
             return features(fm, xs, out=out)
 
-        monkeypatch.setattr(elm, "_features", counting)
+        monkeypatch.setattr(elm, "featurize_batch", counting)
         epochs = 5
         opt = OptimizerConfig(learning_rate=1e-3, epochs=epochs)
         optimize_features(model, ds, opt)

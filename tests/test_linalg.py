@@ -13,6 +13,7 @@ from sketchlearn.linalg import (
     LowRankFactors,
     apply_factors,
     svd_dense,
+    truncate,
     truncated_pinv,
     usable_rank,
 )
@@ -154,6 +155,52 @@ class TestSvdDense:
             svd_dense(np.array([[1.0, np.nan]]))
         with pytest.raises(DimensionMismatch):
             svd_dense(np.zeros(4))
+
+
+def floored(sigma):
+    """Diagonal factors with the given singular values."""
+    n = len(sigma)
+    return LowRankFactors(sigma=np.array(sigma), u=np.eye(n), v=np.eye(n))
+
+
+class TestTruncate:
+    def test_keeps_top_usable_triplets_as_views(self):
+        src = svd_dense(np.random.default_rng(7).standard_normal((6, 4)))
+        f = truncate(src, 2)
+        assert f.k == 2 and not f.reduced
+        for part in ("u", "sigma", "v"):
+            assert np.shares_memory(getattr(f, part), getattr(src, part))
+        np.testing.assert_array_equal(f.u, src.u[:, :2])
+        np.testing.assert_array_equal(f.sigma, src.sigma[:2])
+        np.testing.assert_array_equal(f.v, src.v[:, :2])
+
+    def test_floor_cut_sets_reduced(self):
+        src = floored([4.0, 3.0, 1e-20])
+        f = truncate(src, 3)
+        assert f.k == 2 and f.reduced
+        np.testing.assert_array_equal(f.sigma, [4.0, 3.0])
+        # A cut to the usable rank itself drops nothing it was asked for.
+        assert not truncate(src, 2).reduced
+
+    def test_cut_by_size_alone_is_not_reduced(self):
+        f = truncate(floored([4.0, 3.0]), 5)
+        assert f.k == 2 and not f.reduced
+
+    def test_reduced_input_stays_reduced(self):
+        src = truncate(floored([4.0, 3.0, 1e-20]), 3)
+        assert src.reduced
+        f = truncate(src, 1)
+        assert f.k == 1 and f.reduced
+        assert truncated_pinv(src, 5).reduced
+
+    def test_no_usable_value_raises(self):
+        with pytest.raises(AllSingularValuesFiltered, match="rcond"):
+            truncate(svd_dense(np.zeros((3, 2))), 1)
+
+    @pytest.mark.parametrize("k", [0, -1, True, False, 2.0, 1.5, "2", None])
+    def test_rank_must_be_an_integer_at_least_one(self, k):
+        with pytest.raises(ValueError, match="rank must be >= 1 and an integer"):
+            truncate(floored([2.0, 1.0]), k)
 
 
 class TestTruncatedPinv:

@@ -192,6 +192,35 @@ class TestDrawSamples:
             assert d.p == 6
             assert d.row_idx.max() < 4 and d.col_idx.max() < 5
 
+    def test_row_law_sets_the_error_budget(self):
+        """With row law p_i, E||S^T S - X^T X||_F^2 is
+        (sum_i ||x_i||^4 / p_i - ||X^T X||_F^2) / P. The sum is ||X||_F^4 for
+        the norm law f_i = ||x_i||^2 / ||X||_F^2 and rho ||X||_F^4 for the
+        uniform one, rho = D sum_i f_i^2. The mean E[S^T S] = X^T X
+        (criterion 2) is the same under both laws; this variance is not."""
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((64, 8)) * rng.lognormal(0.0, 1.0, size=(64, 1))
+        t = SegTreeMatrix(x)
+        row_sq = (x * x).sum(axis=1)
+        fro_sq = row_sq.sum()
+        rho = x.shape[0] * ((row_sq / fro_sq) ** 2).sum()
+        assert rho == pytest.approx(18.0, abs=0.05)
+        gram = x.T @ x
+        gram_sq = (gram * gram).sum()
+        p = 16
+        # sum_i ||x_i||^4 / p_i for each row law.
+        for strategy, budget in (("norm", fro_sq**2), ("uniform", rho * fro_sq**2)):
+            expected = (budget - gram_sq) / p
+            errs = []
+            for seed in range(2000):
+                cfg = SketchConfig(k=1, p=p, strategy=strategy, seed=seed)
+                s = build_s(t, draw_samples(t, cfg, np.random.default_rng(seed)))
+                e = s.T @ s - gram
+                errs.append((e * e).sum())
+            mean = np.mean(errs)
+            sem = np.std(errs, ddof=1) / np.sqrt(len(errs))
+            assert abs(mean - expected) <= 4 * sem, (strategy, mean / expected, sem / expected)
+
 
 def full_coverage_draw_identity(n):
     """Hand-built draw hitting every row/column of the identity once."""

@@ -2,17 +2,21 @@
 run: every one is built, as each script builds it, and none is run. Each
 script's own reading of ``run_experiment``'s records runs on tiny synthetic
 specs (the digest's with reduced sketches, under an error warning filter),
-and the snapshot's store and evaluate processes once each at a tiny size."""
+and the snapshot's store and evaluate processes once each at a tiny size.
+The digest's own specs run in full against the golden records."""
 
 import importlib.util
 import json
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 import sketchlearn.bench as bench
 from sketchlearn.bench import ExperimentSpec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "seeded_records.jsonl"
 
 
 def load(name):
@@ -105,3 +109,53 @@ def test_bench_snapshot_point_runs(monkeypatch):
     assert set(point["stages"]) == set(script.STAGES)
     for stage in point["stages"].values():
         assert stage["repeats"] == 1 and 0.0 <= stage["min_s"] == stage["median_s"]
+
+
+# Record fields compared exactly, and (rtol, atol) for the rest.
+EXACT_FIELDS = ("kind", "dataset", "m", "k", "p", "strategy", "seed", "error",
+                "timed", "spec")
+TOLERANCES = {"accuracy": (0.0, 1e-12), "sampled_col_norms": (1e-12, 0.0)}
+
+
+def close(a, b, rtol, atol) -> bool:
+    """Both None, or of one shape and within the tolerances."""
+    if a is None or b is None:
+        return a is b
+    return np.shape(a) == np.shape(b) and np.allclose(b, a, rtol=rtol, atol=atol)
+
+
+def moved_fields(old: dict, new: dict) -> list:
+    """(field, old, new) for each field of a record that moved."""
+    moved = [(f, old.get(f), new.get(f)) for f in EXACT_FIELDS if old.get(f) != new.get(f)]
+    moved += [(f, old.get(f), new.get(f)) for f, tol in TOLERANCES.items()
+              if not close(old.get(f), new.get(f), *tol)]
+    if set(old) != set(new):
+        moved.append(("fields", sorted(old), sorted(new)))
+    return moved
+
+
+def test_seeded_records_match_the_golden_file():
+    """Every seeded record of scripts/record_digest.py against the committed
+    ``tests/seeded_records.jsonl``: the point, its error and the stages it
+    timed exactly, its accuracy within 1e-12 absolute (a class fraction or
+    a relative Frobenius error, both at most of order 1) and its sampled
+    column norms within 1e-12 relative. A failure lists every moved record.
+
+    The file pins the records of the BLAS build it was written on (OpenBLAS
+    0.3.31 with numpy 2.4.6); another build may flip an argmax or a
+    ``Diverged`` epoch. A change that moves records on purpose rewrites it:
+
+        python3 scripts/record_digest.py | sed '$d' > tests/seeded_records.jsonl
+
+    and the file's diff shows the moved records. The script's digest stays
+    the bitwise check.
+    """
+    old = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    new = [json.loads(line) for line in load("record_digest").record_lines()]
+    report = [f"{len(old)} golden records, {len(new)} now"] if len(old) != len(new) else []
+    for o, n in zip(old, new):
+        point = " ".join(f"{f}={o.get(f)}" for f in ("kind", "spec", "m", "k", "p",
+                                                      "strategy", "seed"))
+        report += [f"{point}: {field} {a!r} -> {b!r}"
+                   for field, a, b in moved_fields(o, n)]
+    assert not report, "seeded records moved:\n" + "\n".join(report)
